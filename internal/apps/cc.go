@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"strconv"
 	"strings"
 
 	"graphene/internal/api"
@@ -18,27 +17,6 @@ import (
 // translation unit of a few hundred lines compiles in single-digit
 // milliseconds, as a real compiler does.
 const compileWorkPerByte = 10000
-
-// GenerateSourceTree writes a synthetic source tree: files regular C-ish
-// text totalling roughly kloc thousand lines across nfiles files.
-func GenerateSourceTree(p api.OS, dir string, kloc, nfiles int) error {
-	if err := p.Mkdir(dir, 0755); err != nil && api.ToErrno(err) != api.EEXIST {
-		return err
-	}
-	linesPerFile := kloc * 1000 / nfiles
-	var line = "static int fn(int a, int b) { return a * 31 + b; } /* filler */\n"
-	var sb strings.Builder
-	for i := 0; i < linesPerFile; i++ {
-		sb.WriteString(line)
-	}
-	content := []byte(sb.String())
-	for f := 0; f < nfiles; f++ {
-		if err := writeFile(p, dir+"/src"+strconv.Itoa(f)+".c", content); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // CC1Main is /bin/cc1, the compiler proper: one translation unit in, one
 // object file out.

@@ -13,7 +13,7 @@ import (
 // paper's fixed-size §6.3 configuration (a crash silently shrinks the
 // fleet), the fleet master is a production-shaped supervisor:
 //
-//   - workers are spawned (zygote fast path) rather than forked, and the
+//   - workers are spawned (no memory shipped) rather than forked, and the
 //     master reap-and-replaces crashed workers, detected through the
 //     SIGCHLD/wait machinery and through EPIPE on the dispatch pipe;
 //   - respawns run under a budget: exponential backoff per consecutive
@@ -180,6 +180,11 @@ type fleetMaster struct {
 	hbW       int
 	epoch     int64
 	takeovers int
+
+	// spawnMu is held from a worker's Spawn until its PID is in the slot,
+	// and by the reap: a worker that dies at once can be reaped before
+	// Spawn returns, and would otherwise match no slot and stay "alive".
+	spawnMu sync.Mutex
 
 	supDone chan struct{}
 	done    chan struct{}
@@ -450,11 +455,18 @@ func (m *fleetMaster) shed503(fd int) {
 	m.mu.Unlock()
 }
 
-// pickSlot picks a dispatch target by power-of-two-choices (fleetCore.pick).
+// pickSlot picks a dispatch target by power-of-two-choices (fleetCore.pick)
+// and takes one of its credits before the pass: the worker may serve the
+// connection and return the credit ('d') before the pass returns, and a
+// credit taken after that would leak and get the slot quarantined.
 func (m *fleetMaster) pickSlot() *fleetSlot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.core.pick()
+	s := m.core.pick()
+	if s != nil {
+		s.inflight++
+	}
+	return s
 }
 
 // dispatcher moves connections from the accept queue to workers,
@@ -483,12 +495,16 @@ func (m *fleetMaster) dispatchOne(item connItem) {
 		err := m.passer.PassConnection(s.dispatchW, item.fd)
 		if err == nil {
 			m.mu.Lock()
-			s.inflight++
 			m.core.dispatched++
 			m.mu.Unlock()
 			_ = m.p.Close(item.fd)
 			return
 		}
+		m.mu.Lock()
+		if s.inflight > 0 {
+			s.inflight-- // not passed: give the credit back
+		}
+		m.mu.Unlock()
 		switch api.ToErrno(err) {
 		case api.EPIPE, api.EBADF, api.ECONNRESET:
 			// The worker died under us before the supervisor noticed.
@@ -549,6 +565,8 @@ func (m *fleetMaster) aliveLocked() int {
 // counted once. A reaped PID with no slot is the standby master exiting —
 // nothing to do.
 func (m *fleetMaster) onChildExit(pid int) {
+	m.spawnMu.Lock()
+	defer m.spawnMu.Unlock()
 	now := m.now()
 	m.mu.Lock()
 	var s *fleetSlot
@@ -661,6 +679,7 @@ func (m *fleetMaster) spawnSlot(s *fleetSlot) {
 	m.mu.Lock()
 	maxfd := m.maxFD + 16 // slack for descriptors raced in before checkpoint
 	m.mu.Unlock()
+	m.spawnMu.Lock()
 	pid, err := m.p.Spawn("/bin/httpd-worker", []string{
 		"httpd-worker", strconv.Itoa(r), strconv.Itoa(sw), strconv.Itoa(maxfd),
 		strconv.Itoa(s.id), m.cfg.docroot,
@@ -668,6 +687,7 @@ func (m *fleetMaster) spawnSlot(s *fleetSlot) {
 	_ = m.p.Close(r)
 	_ = m.p.Close(sw)
 	if err != nil {
+		m.spawnMu.Unlock()
 		m.closeFDs(w, sr)
 		m.mu.Lock()
 		s.nextSpawnUS = m.now() + m.cfg.backoffMax
@@ -688,6 +708,7 @@ func (m *fleetMaster) spawnSlot(s *fleetSlot) {
 	s.nextKillUS = 0
 	m.core.spawns++
 	m.mu.Unlock()
+	m.spawnMu.Unlock()
 	_ = m.threader.SpawnThread(func() { m.readStatus(s, pid, sr) })
 }
 
@@ -766,12 +787,16 @@ func (m *fleetMaster) initiateDrain() {
 	m.core.draining = true
 	m.mu.Unlock()
 	// Tell the standby this is a planned shutdown, not a death to take
-	// over from.
+	// over from, and stop heartbeating: the standby exits on 'q', and a
+	// heartbeat into its closed pipe would raise SIGPIPE and kill this
+	// master mid-drain.
 	m.mu.Lock()
 	hbW := m.hbW
+	m.hbW = -1
 	m.mu.Unlock()
 	if hbW >= 0 {
 		_ = writeAll(m.p, hbW, []byte{'q'})
+		_ = m.p.Close(hbW)
 	}
 	if fd, err := m.p.Connect(m.cfg.addr); err == nil {
 		_ = m.p.Close(fd)

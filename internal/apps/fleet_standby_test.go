@@ -180,7 +180,7 @@ func TestFleetTakeoverWithinElectionWindow(t *testing.T) {
 	}
 	// Budget: heartbeat EOF detection is immediate (pipe close), the
 	// election round is bounded by ipc.ElectionWindow, spawning 2 workers
-	// off the zygote cache is ~1 ms each; 500 ms is the acceptance
+	// (spawn ships no memory) is ~1 ms each; 500 ms is the acceptance
 	// ceiling with generous scheduler slack.
 	budget := ipc.ElectionWindow + 450*time.Millisecond
 	if gap := servedAt.Sub(killedAt); gap > budget {

@@ -225,8 +225,8 @@ func (c *fleetCore) inflightTotal() int {
 
 // scale is the elastic policy, evaluated once per maintenance tick:
 //   - up on pressure (queue depth at the accept side, or sheds since the
-//     last look), doubling toward max_workers — the zygote cache makes a
-//     worker cost <1 ms, so aggressive scale-up is cheap;
+//     last look), doubling toward max_workers — a spawned worker ships no
+//     memory and costs <1 ms, so aggressive scale-up is cheap;
 //   - down one worker at a time after a sustained fully-idle window,
 //     drain-before-retire (the retiring worker finishes its in-flight
 //     requests before the SIGTERM goes out).

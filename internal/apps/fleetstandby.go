@@ -23,9 +23,8 @@ import (
 //
 // The dead primary's workers are not adopted: their dispatch pipes EOF
 // when the primary's descriptor table is torn down, so they exit on
-// their own and the new master spawns a fresh fleet from the zygote
-// cache. Handover cost is therefore one election window plus nworkers
-// sub-millisecond spawns.
+// their own and the new master spawns a fresh fleet. Handover cost is
+// therefore one election window plus nworkers sub-millisecond spawns.
 
 // knobArgs re-encodes the parsed config as key=value argv entries so a
 // spawned standby runs under the primary's exact tuning (including the

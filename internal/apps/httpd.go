@@ -329,8 +329,3 @@ func fetchOnce(p api.OS, addr api.SockAddr, path string) (int, error) {
 	}
 	return got, nil
 }
-
-// FetchOnce is exported for benchmarks driving servers directly.
-func FetchOnce(p api.OS, addr api.SockAddr, path string) (int, error) {
-	return fetchOnce(p, addr, path)
-}

@@ -262,12 +262,5 @@ type execRequest struct {
 
 type processExited struct{}
 
-// ProcessCount reports live processes (diagnostics).
-func (k *Kernel) ProcessCount() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.procs)
-}
-
 // itoa is a local integer formatter.
 func itoa(v int) string { return strconv.Itoa(v) }

@@ -2,10 +2,6 @@ package bench
 
 import "graphene/internal/metrics"
 
-// ResetMetrics clears the process-wide latency histograms so a metrics
-// report covers exactly the experiments run after the call.
-func ResetMetrics() { metrics.Default.Reset() }
-
 // RenderMetrics reports the registry accumulated while the experiments
 // ran — per-syscall and per-RPC-type latency histograms from the traced
 // Graphene workloads (the paper's tables give per-benchmark means; this

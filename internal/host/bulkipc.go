@@ -130,9 +130,6 @@ func (st *IPCStore) Pending() int {
 	return len(st.batches)
 }
 
-// AvailEvent is signaled while batches are queued.
-func (st *IPCStore) AvailEvent() *Event { return st.avail }
-
 // Close discards queued batches and fails future commits.
 func (st *IPCStore) Close() {
 	st.mu.Lock()

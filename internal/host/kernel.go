@@ -139,9 +139,6 @@ func (openPolicy) CheckNetConnect(*Picoprocess, api.SockAddr) error { return nil
 func (openPolicy) OnProcessCreate(*Picoprocess, *Picoprocess, bool) {}
 func (openPolicy) OnProcessExit(*Picoprocess)                       {}
 
-// OpenPolicy returns a Policy that allows everything.
-func OpenPolicy() Policy { return openPolicy{} }
-
 // Kernel is the simulated host kernel: picoprocess table, file system,
 // stream registry, bulk-IPC stores, and the syscall gate.
 type Kernel struct {
@@ -541,13 +538,6 @@ func (k *Kernel) StreamConnectNet(p *Picoprocess, name string) (*Stream, error) 
 	}
 	p.registerStream(s)
 	return s, nil
-}
-
-// IPCStoreByID resolves a store id (sent over the control stream).
-func (k *Kernel) IPCStoreByID(id int) *IPCStore {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.stores[id]
 }
 
 // --- kernel-bypass SysV rings ---

@@ -7,6 +7,7 @@ package host
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -152,6 +153,15 @@ func (as *AddressSpace) markDirtyLocked(idx uint64) {
 	as.dirty[idx] = struct{}{}
 }
 
+// validSpan reports whether [addr, addr+length) is non-empty and, rounded
+// out to whole pages, stays below the top of the address space. A range
+// that wraps would insert a VMA with End < Start and corrupt the
+// committed-bytes count.
+func validSpan(addr, length uint64) bool {
+	end := addr + length
+	return length != 0 && end > addr && end <= math.MaxUint64-PageSize+1
+}
+
 func pageAlignUp(v uint64) uint64 {
 	return (v + PageSize - 1) &^ (PageSize - 1)
 }
@@ -163,7 +173,7 @@ func pageAlignDown(v uint64) uint64 {
 // Alloc maps length bytes at addr (or a kernel-chosen address if addr == 0)
 // with the given protection, returning the start address.
 func (as *AddressSpace) Alloc(addr uint64, length uint64, prot int) (uint64, error) {
-	if length == 0 {
+	if !validSpan(addr, length) {
 		return 0, api.EINVAL
 	}
 	length = pageAlignUp(length)
@@ -188,7 +198,7 @@ func (as *AddressSpace) Alloc(addr uint64, length uint64, prot int) (uint64, err
 
 // Free unmaps [addr, addr+length), splitting VMAs as needed.
 func (as *AddressSpace) Free(addr uint64, length uint64) error {
-	if length == 0 {
+	if !validSpan(addr, length) {
 		return api.EINVAL
 	}
 	start := pageAlignDown(addr)
@@ -395,17 +405,6 @@ func (as *AddressSpace) ResidentBytes() uint64 {
 	return uint64(total)
 }
 
-// SnapshotRegions returns a copy of the VMA list (for checkpointing).
-func (as *AddressSpace) SnapshotRegions() []VMA {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	out := make([]VMA, 0, len(as.vmas))
-	for _, v := range as.vmas {
-		out = append(out, VMA{Start: v.Start, End: v.End, Prot: v.Prot})
-	}
-	return out
-}
-
 // TouchedPages returns the indices of resident pages within [start, end),
 // along with their backing pages, for bulk IPC.
 func (as *AddressSpace) TouchedPages(start, end uint64) (idxs []uint64, pages []*Page) {
@@ -456,13 +455,6 @@ func (as *AddressSpace) ResetDirty() {
 	as.mu.Lock()
 	as.dirty = nil
 	as.mu.Unlock()
-}
-
-// DirtyPageCount returns the number of pages in the dirty set.
-func (as *AddressSpace) DirtyPageCount() int {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return len(as.dirty)
 }
 
 // InstallPage maps pg (shared, COW) at page index idx. The target range

@@ -49,6 +49,35 @@ func TestAllocZeroLength(t *testing.T) {
 	}
 }
 
+// A range whose end wraps past the top of the address space is rejected,
+// and leaves the mappings and the committed count untouched.
+func TestAllocFreeRejectWrapAround(t *testing.T) {
+	as := NewAddressSpace()
+	addr, err := as.Alloc(0x1000_0000, PageSize, api.ProtRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ addr, length uint64 }{
+		{addr, PageSize - addr}, // end wraps to below addr
+		{1 << 63, 1 << 63},      // end wraps to exactly 0
+		{0, ^uint64(0)},         // page rounding wraps
+		{^uint64(0) - 10, 1},    // last page: rounding wraps
+	} {
+		if _, err := as.Alloc(c.addr, c.length, api.ProtRead); err != api.EINVAL {
+			t.Errorf("Alloc(%#x, %#x) err = %v, want EINVAL", c.addr, c.length, err)
+		}
+		if err := as.Free(c.addr, c.length); err != api.EINVAL {
+			t.Errorf("Free(%#x, %#x) err = %v, want EINVAL", c.addr, c.length, err)
+		}
+	}
+	if got := as.CommittedBytes(); got != PageSize {
+		t.Fatalf("committed = %d, want %d", got, PageSize)
+	}
+	if !as.Mapped(addr) {
+		t.Fatal("valid mapping lost")
+	}
+}
+
 func TestReadUnmappedFaults(t *testing.T) {
 	as := NewAddressSpace()
 	if err := as.Read(0xdead000, make([]byte, 8)); err != api.EFAULT {

@@ -340,9 +340,6 @@ func (s *Stream) Write(p []byte) (int, error) {
 	return s.out.write(p)
 }
 
-// Readable reports whether a Read would not block.
-func (s *Stream) Readable() bool { return s.in.readable() }
-
 // Writable reports whether a Write would not block.
 func (s *Stream) Writable() bool { return s.out.writable() }
 
@@ -651,14 +648,6 @@ func (l *Listener) dropHolder(pid int) bool {
 		l.OwnerPID = next
 	}
 	return false
-}
-
-// Holders returns the number of picoprocesses currently holding the
-// listening socket (diagnostics and tests).
-func (l *Listener) Holders() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.holders)
 }
 
 // Accept blocks for the next incoming connection.

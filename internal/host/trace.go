@@ -48,9 +48,6 @@ func init() { traceLevel.Store(TraceOn) }
 // SetTraceLevel sets the global tracing level and returns the previous one.
 func SetTraceLevel(l int32) int32 { return traceLevel.Swap(l) }
 
-// TraceLevel returns the current tracing level.
-func TraceLevel() int32 { return traceLevel.Load() }
-
 // TraceEnabled reports whether recording is on at all.
 func TraceEnabled() bool { return traceLevel.Load() >= TraceOn }
 

@@ -909,6 +909,9 @@ func (h *Helper) adoptQueue(id int64) bool {
 	h.queues[id] = q
 	h.qOwnerCache[id] = h.Addr
 	h.mu.Unlock()
+	// Local sends never consult the ring, so an attachment to the dead
+	// owner's (revoked) ring would otherwise stay mapped forever.
+	h.qRingDrop(id)
 	_, _ = h.callLeader(Frame{Type: MsgKeyChown, A: NSSysVMsg, B: id, S: h.Addr})
 	return true
 }

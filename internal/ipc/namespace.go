@@ -398,14 +398,6 @@ func (l *leaderState) releaseLease(kind int, block int64) {
 	l.mu.Unlock()
 }
 
-// leaseHolder returns the current holder of a key block, if any.
-func (l *leaderState) leaseHolder(kind int, block int64) (string, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	h, ok := l.leases[kind][block]
-	return h, ok
-}
-
 // idOwner returns the current owner of a System V object.
 func (l *leaderState) idOwner(kind int, id int64) (string, bool) {
 	l.mu.RLock()

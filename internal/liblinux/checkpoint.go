@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"time"
 
 	"graphene/internal/api"
@@ -13,10 +14,10 @@ import (
 	"graphene/internal/pal"
 )
 
-// FDCheckpoint serializes one open descriptor. File-backed descriptors are
+// ckFD serializes one open descriptor. File-backed descriptors are
 // reopened by path; stream-backed ones reference the i-th handle passed
 // out-of-band over the initial stream (the handle-inheritance ABI, §5).
-type FDCheckpoint struct {
+type ckFD struct {
 	FD          int
 	Kind        int
 	Path        string
@@ -25,16 +26,45 @@ type FDCheckpoint struct {
 	HandleIndex int // -1 for path-reopened descriptors
 }
 
-// Checkpoint is the serializable libOS state — what fork ships to the
-// child and what migration writes to disk (§5, §6.1). Memory page
-// contents travel separately: copy-on-write via bulk IPC for fork, inline
-// in Pages for cross-machine migration.
-type Checkpoint struct {
-	PID        int64
-	PPID       int64
-	PGID       int64
-	ParentAddr string
-	LeaderAddr string
+// ============================================================
+// The checkpoint format (§5, §6.1). Fork, spawn and migration write one
+// stream of typed sections — [kind:1][len:4][payload], gob payloads —
+// ending in secDone, and one reader, restore, consumes every image.
+//
+// Fork streams the sections over the initial stream while a producer
+// goroutine commits memory batches into the bulk-IPC store, and the child
+// overlaps its restore: as soon as the memory section arrives it starts
+// allocating regions and blocking on the store for batches (one batch per
+// region, in section order) on a mapper goroutine, while the main restore
+// path keeps consuming FD and signal sections (see DESIGN.md, "Fork
+// pipeline"). Spawn sends the same sections minus memory and signals,
+// which the child resets on exec anyway. Migration writes the sections
+// into a byte image and adds the page contents in pages sections.
+// ============================================================
+
+// Section kinds.
+const (
+	secMeta   = 1 // ckMetaSection: identity, addresses, program, env
+	secMemory = 2 // ckMemSection: brk + regions; fork's store batches follow 1:1
+	secFDs    = 3 // ckFDSection: descriptor table; handles follow out-of-band
+	secSig    = 4 // ckSigSection: signal dispositions
+	secPages  = 5 // ckPagesSection: page contents (migration images only)
+	secDone   = 6 // end of checkpoint
+)
+
+// maxSection bounds one section's payload so a forged length cannot make
+// the reader allocate without limit; pagesPerSection keeps a pages section
+// (4 KiB of data per page plus framing) well under it.
+const (
+	maxSection      = 64 << 20
+	pagesPerSection = 1024
+)
+
+// ckMetaSection is the identity/dynamic-state section, captured fresh on
+// every fork, spawn and migration.
+type ckMetaSection struct {
+	PID, PPID, PGID        int64
+	ParentAddr, LeaderAddr string
 	// ShardAddrs is the per-shard coordinator address table when the parent
 	// runs on a sharded namespace plane (nil / single entry = classic
 	// one-coordinator topology; the child then joins via LeaderAddr).
@@ -43,33 +73,47 @@ type Checkpoint struct {
 	Argv        []string
 	Cwd         string
 	Env         map[string]string
-
-	Brk     uint64
-	BrkEnd  uint64
-	Regions []Region
-
-	FDs          []FDCheckpoint
-	Dispositions map[api.Signal]string
-
-	// Pages carries memory contents for migration checkpoints only.
-	Pages []PageDump
-
-	// Incremental marks a delta image: Pages holds only pages dirtied
-	// since the previous snapshot, to be applied over a restored base.
-	Incremental bool
 }
 
-// PageDump is one resident page in a migration checkpoint.
-type PageDump struct {
+// ckMemSection describes the memory image; fork sends the page contents
+// out-of-band through the bulk-IPC store, one batch per region in order.
+type ckMemSection struct {
+	Brk, BrkEnd uint64
+	Regions     []Region
+}
+
+type ckFDSection struct{ FDs []ckFD }
+
+type ckSigSection struct{ Dispositions map[api.Signal]string }
+
+// ckPagesSection carries page contents inline. Delta marks pages dirtied
+// since the previous image: they apply over a restored base, so a delta
+// image cannot boot a sandbox.
+type ckPagesSection struct {
+	Delta bool
+	Pages []ckPage
+}
+
+type ckPage struct {
 	Addr uint64
 	Data []byte
 }
 
-// checkpointMeta captures everything but memory contents; stream handles
-// to be inherited are returned for out-of-band transfer.
-func (p *Process) checkpointMeta() (*Checkpoint, []*host.Handle, error) {
+// ckpt is a captured checkpoint: the sections every image shares, before
+// the caller picks a destination and fills in the identity.
+type ckpt struct {
+	meta ckMetaSection
+	mem  ckMemSection
+	fds  ckFDSection
+	sig  ckSigSection
+}
+
+// capture snapshots the libOS state; stream handles to be inherited are
+// returned for out-of-band transfer.
+func (p *Process) capture() (*ckpt, []*host.Handle) {
+	ck := new(ckpt)
 	p.mu.Lock()
-	ck := &Checkpoint{
+	ck.meta = ckMetaSection{
 		PGID:        p.pgid,
 		ParentAddr:  p.helperAddr(),
 		LeaderAddr:  p.leaderAddrLocked(),
@@ -82,16 +126,14 @@ func (p *Process) checkpointMeta() (*Checkpoint, []*host.Handle, error) {
 	p.mu.Unlock()
 
 	p.mm.mu.Lock()
-	ck.Brk = p.mm.brk
-	ck.BrkEnd = p.mm.brkEnd
-	ck.Regions = append([]Region(nil), p.mm.mmaps...)
+	ck.mem = ckMemSection{Brk: p.mm.brk, BrkEnd: p.mm.brkEnd, Regions: append([]Region(nil), p.mm.mmaps...)}
 	p.mm.mu.Unlock()
 
-	ck.Dispositions = p.sig.dispositions()
+	ck.sig.Dispositions = p.sig.dispositions()
 
 	var handles []*host.Handle
 	for fd, d := range p.fds.snapshot() {
-		fc := FDCheckpoint{FD: fd, Kind: int(d.kind), Path: d.path, Flags: d.flags, HandleIndex: -1}
+		fc := ckFD{FD: fd, Kind: int(d.kind), Path: d.path, Flags: d.flags, HandleIndex: -1}
 		d.mu.Lock()
 		fc.Pos = d.pos
 		d.mu.Unlock()
@@ -105,9 +147,9 @@ func (p *Process) checkpointMeta() (*Checkpoint, []*host.Handle, error) {
 			// the parent and pass connections instead).
 			continue
 		}
-		ck.FDs = append(ck.FDs, fc)
+		ck.fds.FDs = append(ck.fds.FDs, fc)
 	}
-	return ck, handles, nil
+	return ck, handles
 }
 
 func (p *Process) helperAddr() string {
@@ -143,87 +185,17 @@ func copyEnv(in map[string]string) map[string]string {
 	return out
 }
 
-// encodeCheckpoint serializes a checkpoint with gob.
-func encodeCheckpoint(ck *Checkpoint) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		panic("liblinux: checkpoint encode: " + err.Error())
+// appendSection encodes v (nil for an empty payload) as one section at the
+// end of buf, in place: the length is patched in after the payload.
+func appendSection(buf *bytes.Buffer, kind byte, v interface{}) {
+	start := buf.Len()
+	buf.Write([]byte{kind, 0, 0, 0, 0})
+	if v != nil {
+		if err := gob.NewEncoder(buf).Encode(v); err != nil {
+			panic("liblinux: section encode: " + err.Error())
+		}
 	}
-	return buf.Bytes()
-}
-
-func decodeCheckpoint(blob []byte) (*Checkpoint, error) {
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&ck); err != nil {
-		return nil, api.EINVAL
-	}
-	return &ck, nil
-}
-
-// ============================================================
-// Fork checkpoint streaming: the chunked section protocol.
-//
-// Fork no longer serializes one monolithic blob. The parent streams the
-// checkpoint as typed sections over the initial stream — [kind:1][len:4]
-// [payload] — while a producer goroutine commits memory batches into the
-// bulk-IPC store, and the child overlaps its restore: as soon as the
-// memory section arrives it starts allocating regions and blocking on the
-// store for batches (one batch per region, in section order) on a mapper
-// goroutine, while the main restore path keeps consuming FD and signal
-// sections. Serialization, bulk-IPC transfer, and restore all run
-// concurrently instead of stop-the-world (see DESIGN.md, "Fork pipeline").
-// ============================================================
-
-// Section kinds on the initial stream.
-const (
-	secMeta   = 1 // ckMetaSection: identity, addresses, program, env
-	secMemory = 2 // ckMemSection: brk + regions; store batches follow 1:1
-	secFDs    = 3 // ckFDSection: descriptor table; handles follow out-of-band
-	secSig    = 4 // ckSigSection: signal dispositions
-	secZygote = 5 // cached zygote template (spawn fast path; replaces secMemory)
-	secDone   = 6 // end of checkpoint
-)
-
-// ckMetaSection is the identity/dynamic-state section. Everything here is
-// re-captured fresh on every fork and spawn — never cached — so a
-// zygote-cached spawn still observes current env, cwd, and addresses.
-type ckMetaSection struct {
-	PID, PPID, PGID        int64
-	ParentAddr, LeaderAddr string
-	ShardAddrs             []string
-	ProgramPath            string
-	Argv                   []string
-	Cwd                    string
-	Env                    map[string]string
-}
-
-// ckMemSection describes the memory image; the page contents travel
-// out-of-band through the bulk-IPC store, one batch per region in order.
-type ckMemSection struct {
-	Brk, BrkEnd uint64
-	Regions     []Region
-}
-
-type ckFDSection struct{ FDs []FDCheckpoint }
-
-type ckSigSection struct{ Dispositions map[api.Signal]string }
-
-// zygoteTemplate is the cached static portion of a spawn checkpoint: the
-// post-exec memory layout of a program image, captured once per program
-// path ("little more than a guest memory dump" taken once, §7.3). A spawned
-// child resets its image anyway, so the template pins the fresh layout and
-// the parent skips serializing and transferring memory entirely.
-type zygoteTemplate struct {
-	ProgramPath string
-	Brk, BrkEnd uint64
-}
-
-func gobBytes(v interface{}) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic("liblinux: section encode: " + err.Error())
-	}
-	return buf.Bytes()
+	binary.LittleEndian.PutUint32(buf.Bytes()[start+1:], uint32(buf.Len()-start-5))
 }
 
 func gobDecode(blob []byte, v interface{}) error {
@@ -233,35 +205,32 @@ func gobDecode(blob []byte, v interface{}) error {
 	return nil
 }
 
-// writeSection frames one checkpoint section on the initial stream.
-func writeSection(s *host.Stream, kind byte, payload []byte) error {
-	hdr := make([]byte, 5, 5+len(payload))
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	_, err := s.Write(append(hdr, payload...))
-	return err
-}
-
-func readSection(s *host.Stream) (byte, []byte, error) {
+func readSection(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
-	if err := readFull(s, hdr[:]); err != nil {
+	if err := readFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > 64<<20 {
+	if n > maxSection {
 		return 0, nil, api.EINVAL
 	}
 	payload := make([]byte, n)
-	if err := readFull(s, payload); err != nil {
+	if err := readFull(r, payload); err != nil {
 		return 0, nil, err
 	}
 	return hdr[0], payload, nil
 }
 
-func readFull(s *host.Stream, buf []byte) error {
+// readFull fills buf from r. A host stream reports end of stream as a
+// zero-byte read (EPIPE: the parent died mid-checkpoint); a byte image
+// that ends early is truncated (EINVAL).
+func readFull(r io.Reader, buf []byte) error {
 	off := 0
 	for off < len(buf) {
-		n, err := s.Read(buf[off:])
+		n, err := r.Read(buf[off:])
+		if err == io.EOF {
+			return api.EINVAL
+		}
 		if err != nil {
 			return err
 		}
@@ -277,13 +246,16 @@ func readFull(s *host.Stream, buf []byte) error {
 // next memory batch before declaring the fork dead.
 const mapTimeout = 10 * time.Second
 
-// mapImage allocates each region and blocks on the store for its batch —
-// the consumer half of the fork pipeline, run on a goroutine while the
-// main restore path consumes later sections.
+// mapImage allocates each region and, given a store, blocks on it for the
+// region's batch — the consumer half of the fork pipeline, run on a
+// goroutine while the main restore path consumes later sections.
 func (p *Process) mapImage(store *host.Handle, regions []Region) error {
 	for _, r := range regions {
 		if _, err := p.pal.DkVirtualMemoryAlloc(r.Start, r.End-r.Start, r.Prot); err != nil {
 			return err
+		}
+		if store == nil {
+			continue
 		}
 		if _, err := p.pal.DkPhysicalMemoryMapWait(store, r.Start, mapTimeout); err != nil {
 			return err
@@ -292,102 +264,13 @@ func (p *Process) mapImage(store *host.Handle, regions []Region) error {
 	return nil
 }
 
-// restoreChild runs in the freshly created picoprocess: it consumes the
-// checkpoint sections from the initial stream as they arrive, rebuilding
-// libOS state incrementally. Memory mapping from the bulk-IPC store runs
-// on a separate goroutine from the moment the memory section lands, so
-// page transfer overlaps descriptor and signal restore.
+// restoreChild runs in the freshly created picoprocess: it restores the
+// checkpoint streamed on the initial stream, then joins the parent's
+// namespace.
 func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Handle, childMain func(*Process) int) (*Process, error) {
-	kind, payload, err := readSection(initial)
+	child, meta, err := rt.restore(c, initial, initial, store)
 	if err != nil {
 		return nil, err
-	}
-	var tmpl *zygoteTemplate
-	if kind == secZygote {
-		tmpl = new(zygoteTemplate)
-		if err := gobDecode(payload, tmpl); err != nil {
-			return nil, err
-		}
-		if kind, payload, err = readSection(initial); err != nil {
-			return nil, err
-		}
-	}
-	if kind != secMeta {
-		return nil, api.EINVAL
-	}
-	var meta ckMetaSection
-	if err := gobDecode(payload, &meta); err != nil {
-		return nil, err
-	}
-	if tmpl != nil && tmpl.ProgramPath != meta.ProgramPath {
-		// A stale template slipped past invalidation; refuse rather than
-		// resume the wrong image.
-		return nil, api.EINVAL
-	}
-	child, err := newProcess(rt, c, meta.PID, meta.PPID, meta.ParentAddr, meta.LeaderAddr)
-	if err != nil {
-		return nil, err
-	}
-	child.applyMeta(&meta)
-
-	mapDone := make(chan error, 1)
-	mapStarted := false
-	// failMap releases the pipeline when the restore dies after the mapper
-	// goroutine has started: closing the store unblocks its MapNext wait
-	// and drops the queued batches' page references, and draining mapDone
-	// reaps the goroutine — otherwise it would keep allocating regions and
-	// blocking up to mapTimeout per region inside an abandoned child.
-	failMap := func(err error) (*Process, error) {
-		if mapStarted {
-			_ = c.DkObjectClose(store)
-			<-mapDone
-		}
-		return nil, err
-	}
-	for done := false; !done; {
-		kind, payload, err := readSection(initial)
-		if err != nil {
-			return failMap(err)
-		}
-		switch kind {
-		case secMemory:
-			var mem ckMemSection
-			if err := gobDecode(payload, &mem); err != nil {
-				return failMap(err)
-			}
-			child.mm.restore(mem.Brk, mem.BrkEnd, mem.Regions)
-			if store != nil {
-				regions := memRegions(mem.BrkEnd, mem.Regions)
-				mapStarted = true
-				go func() { mapDone <- child.mapImage(store, regions) }()
-			}
-		case secFDs:
-			var fds ckFDSection
-			if err := gobDecode(payload, &fds); err != nil {
-				return failMap(err)
-			}
-			if err := child.restoreFDs(fds.FDs, initial); err != nil {
-				return failMap(err)
-			}
-		case secSig:
-			var sig ckSigSection
-			if err := gobDecode(payload, &sig); err != nil {
-				return failMap(err)
-			}
-			child.sig.restoreDispositions(sig.Dispositions)
-		case secDone:
-			done = true
-		default:
-			return failMap(api.EINVAL)
-		}
-	}
-	if mapStarted {
-		if err := <-mapDone; err != nil {
-			// Batches the parent committed past the failure point hold page
-			// references nobody will map; close the store to release them.
-			_ = c.DkObjectClose(store)
-			return nil, err
-		}
 	}
 	var helper *ipc.Helper
 	if len(meta.ShardAddrs) > 1 {
@@ -410,9 +293,142 @@ func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Han
 	return child, nil
 }
 
-// regionsOf lists the memory areas a checkpoint describes.
-func regionsOf(ck *Checkpoint) []Region {
-	return memRegions(ck.BrkEnd, ck.Regions)
+// restore consumes one checkpoint image from r and rebuilds its libOS
+// state in a new process on c, applying each section as it arrives.
+// initial carries the inherited stream handles (nil for a migration
+// image) and store fork's memory batches (nil for spawn and migration).
+// Every section is checked before it is applied: a forged image fails
+// with an errno, never a panic.
+func (rt *Runtime) restore(c *pal.PAL, r io.Reader, initial *host.Stream, store *host.Handle) (*Process, *ckMetaSection, error) {
+	kind, payload, err := readSection(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if kind != secMeta {
+		return nil, nil, api.EINVAL
+	}
+	var meta ckMetaSection
+	if err := gobDecode(payload, &meta); err != nil {
+		return nil, nil, err
+	}
+	if initial == nil {
+		// A migration image boots a sandbox root: whatever it says, there
+		// is no parent to notify and no namespace to join.
+		meta.PPID, meta.PGID, meta.ParentAddr, meta.LeaderAddr, meta.ShardAddrs = 0, 0, "", "", nil
+	}
+	p, err := newProcess(rt, c, meta.PID, meta.PPID, meta.ParentAddr, meta.LeaderAddr)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.mu.Lock()
+	p.cwd = meta.Cwd
+	p.env = copyEnv(meta.Env)
+	p.programPath = meta.ProgramPath
+	p.argv = append([]string(nil), meta.Argv...)
+	p.mu.Unlock()
+
+	mapDone := make(chan error, 1)
+	mapStarted := false
+	// failMap releases the pipeline when the restore dies after the mapper
+	// goroutine has started: closing the store unblocks its MapNext wait
+	// and drops the queued batches' page references, and draining mapDone
+	// reaps the goroutine — otherwise it would keep allocating regions and
+	// blocking up to mapTimeout per region inside an abandoned child.
+	failMap := func(err error) (*Process, *ckMetaSection, error) {
+		if mapStarted {
+			_ = c.DkObjectClose(store)
+			<-mapDone
+		}
+		return nil, nil, err
+	}
+	var seen [secDone + 1]bool
+	for done := false; !done; {
+		kind, payload, err := readSection(r)
+		if err != nil {
+			return failMap(err)
+		}
+		// Only pages sections may repeat; meta comes first and only once.
+		if kind <= secMeta || kind > secDone || (seen[kind] && kind != secPages) {
+			return failMap(api.EINVAL)
+		}
+		seen[kind] = true
+		switch kind {
+		case secMemory:
+			var mem ckMemSection
+			if err := gobDecode(payload, &mem); err != nil {
+				return failMap(err)
+			}
+			regions := memRegions(mem.BrkEnd, mem.Regions)
+			if !validLayout(&mem, regions) {
+				return failMap(api.EINVAL)
+			}
+			p.mm.restore(mem.Brk, mem.BrkEnd, mem.Regions)
+			if store == nil {
+				// A migration image: map the regions now for the pages
+				// sections to fill.
+				if err := p.mapImage(nil, regions); err != nil {
+					return failMap(err)
+				}
+			} else {
+				mapStarted = true
+				go func() { mapDone <- p.mapImage(store, regions) }()
+			}
+		case secFDs:
+			var fds ckFDSection
+			if err := gobDecode(payload, &fds); err != nil {
+				return failMap(err)
+			}
+			if err := p.restoreFDs(fds.FDs, initial); err != nil {
+				return failMap(err)
+			}
+		case secSig:
+			var sig ckSigSection
+			if err := gobDecode(payload, &sig); err != nil {
+				return failMap(err)
+			}
+			p.sig.restoreDispositions(sig.Dispositions)
+		case secPages:
+			var pages ckPagesSection
+			if err := gobDecode(payload, &pages); err != nil {
+				return failMap(err)
+			}
+			// Fork ships pages through the store, and a delta applies over
+			// a restored base: neither can carry pages here.
+			if initial != nil || pages.Delta {
+				return failMap(api.EINVAL)
+			}
+			for _, pg := range pages.Pages {
+				if err := c.MemWrite(pg.Addr, pg.Data); err != nil {
+					return failMap(err)
+				}
+			}
+		case secDone:
+			done = true
+		}
+	}
+	if mapStarted {
+		if err := <-mapDone; err != nil {
+			// Batches the parent committed past the failure point hold page
+			// references nobody will map; close the store to release them.
+			_ = c.DkObjectClose(store)
+			return nil, nil, err
+		}
+	}
+	return p, &meta, nil
+}
+
+// validLayout reports whether a memory section keeps the break inside the
+// data segment and describes only non-empty, page-aligned regions.
+func validLayout(mem *ckMemSection, regions []Region) bool {
+	if mem.Brk < brkBase || mem.Brk > mem.BrkEnd || mem.BrkEnd > brkMax {
+		return false
+	}
+	for _, r := range regions {
+		if r.Start >= r.End || r.Start%host.PageSize != 0 || r.End%host.PageSize != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // memRegions lists the memory areas of a checkpoint: the break segment
@@ -425,39 +441,25 @@ func memRegions(brkEnd uint64, mmaps []Region) []Region {
 	return append(out, mmaps...)
 }
 
-// applyMeta installs the dynamic identity state from a meta section.
-func (p *Process) applyMeta(m *ckMetaSection) {
-	p.mu.Lock()
-	p.cwd = m.Cwd
-	p.env = copyEnv(m.Env)
-	p.programPath = m.ProgramPath
-	p.argv = append([]string(nil), m.Argv...)
-	p.mu.Unlock()
-}
-
-// restoreState rebuilds descriptors, cwd, env, and signal dispositions from
-// a monolithic checkpoint — the migration path (fork streams sections via
-// restoreChild instead).
-func (p *Process) restoreState(ck *Checkpoint, initial *host.Stream) error {
-	p.applyMeta(&ckMetaSection{
-		ProgramPath: ck.ProgramPath,
-		Argv:        ck.Argv,
-		Cwd:         ck.Cwd,
-		Env:         ck.Env,
-	})
-	p.mm.restore(ck.Brk, ck.BrkEnd, ck.Regions)
-	p.sig.restoreDispositions(ck.Dispositions)
-	return p.restoreFDs(ck.FDs, initial)
-}
-
 // restoreFDs receives inherited stream handles in order and rebuilds the
 // descriptor table.
-func (p *Process) restoreFDs(fds []FDCheckpoint, initial *host.Stream) error {
+func (p *Process) restoreFDs(fds []ckFD, initial *host.Stream) error {
 	maxIdx := -1
 	for _, fc := range fds {
+		// Stream descriptors, and only they, name one of the handles that
+		// follow out-of-band, numbered densely from 0.
+		kind := fdKind(fc.Kind)
+		stream := kind == fdPipe || kind == fdSocket
+		if fc.FD < 0 || kind < fdFile || kind > fdProc || kind == fdListener ||
+			stream != (fc.HandleIndex >= 0) || fc.HandleIndex >= len(fds) {
+			return api.EINVAL
+		}
 		if fc.HandleIndex > maxIdx {
 			maxIdx = fc.HandleIndex
 		}
+	}
+	if maxIdx >= 0 && initial == nil {
+		return api.EINVAL // handles referenced, but no stream carries them
 	}
 	inherited := make([]*host.Handle, maxIdx+1)
 	for i := 0; i <= maxIdx; i++ {
@@ -506,76 +508,70 @@ func (p *Process) restoreFDs(fds []FDCheckpoint, initial *host.Stream) error {
 // Migration checkpoints (§6.1): checkpoint to bytes, resume anywhere.
 // ============================================================
 
-// CheckpointToBytes produces a self-contained migration image: libOS
-// metadata plus all resident memory pages. "Little more than a guest
-// memory dump" (§7.3).
+// CheckpointToBytes produces a self-contained migration image: the
+// checkpoint sections plus all resident memory pages. "Little more than a
+// guest memory dump" (§7.3).
 func (p *Process) CheckpointToBytes() ([]byte, error) {
-	ck, _, err := p.checkpointMeta()
-	if err != nil {
-		return nil, err
-	}
-	ck.PID = p.pid
-	ck.PPID = p.ppid
-	// Streams cannot migrate across machines; drop stream-backed FDs.
-	var kept []FDCheckpoint
-	for _, fc := range ck.FDs {
-		if fc.HandleIndex == -1 {
-			kept = append(kept, fc)
-		}
-	}
-	ck.FDs = kept
-
-	as := p.pal.Proc().AS
-	for _, r := range regionsOf(ck) {
-		idxs, _ := as.TouchedPages(r.Start, r.End)
-		for _, idx := range idxs {
-			data := make([]byte, host.PageSize)
-			if err := as.Read(idx<<host.PageShift, data); err != nil {
-				continue
-			}
-			ck.Pages = append(ck.Pages, PageDump{Addr: idx << host.PageShift, Data: data})
-		}
-	}
-	// A full dump establishes the baseline for subsequent deltas.
-	as.ResetDirty()
-	return encodeCheckpoint(ck), nil
+	return p.checkpointBytes(false), nil
 }
 
 // CheckpointDeltaBytes produces an incremental migration image: the same
-// metadata, but only pages dirtied since the last CheckpointToBytes or
+// sections, but only pages dirtied since the last CheckpointToBytes or
 // CheckpointDeltaBytes call. Checkpoint cost therefore scales with the
 // write working set, not the resident set — the dirty-fraction sweep in
 // the benchmarks measures exactly this. The image applies over a restored
 // base; it is not self-contained.
 func (p *Process) CheckpointDeltaBytes() ([]byte, error) {
-	ck, _, err := p.checkpointMeta()
-	if err != nil {
-		return nil, err
-	}
-	ck.PID = p.pid
-	ck.PPID = p.ppid
-	ck.Incremental = true
-	var kept []FDCheckpoint
-	for _, fc := range ck.FDs {
+	return p.checkpointBytes(true), nil
+}
+
+// checkpointBytes writes a migration image: the sections fork sends, less
+// the stream-backed descriptors (streams cannot migrate across machines),
+// then the pages — every resident one, or for a delta the dirty ones.
+func (p *Process) checkpointBytes(delta bool) []byte {
+	ck, _ := p.capture()
+	ck.meta.PID, ck.meta.PPID = p.pid, p.ppid
+	kept := ck.fds.FDs[:0]
+	for _, fc := range ck.fds.FDs {
 		if fc.HandleIndex == -1 {
 			kept = append(kept, fc)
 		}
 	}
-	ck.FDs = kept
+	ck.fds.FDs = kept
 
+	var buf bytes.Buffer
+	appendSection(&buf, secMeta, &ck.meta)
+	appendSection(&buf, secMemory, &ck.mem)
+	appendSection(&buf, secFDs, &ck.fds)
+	appendSection(&buf, secSig, &ck.sig)
 	as := p.pal.Proc().AS
-	for _, r := range regionsOf(ck) {
-		idxs, _ := as.DirtyPages(r.Start, r.End)
+	pages := ckPagesSection{Delta: delta}
+	for _, r := range memRegions(ck.mem.BrkEnd, ck.mem.Regions) {
+		var idxs []uint64
+		if delta {
+			idxs, _ = as.DirtyPages(r.Start, r.End)
+		} else {
+			idxs, _ = as.TouchedPages(r.Start, r.End)
+		}
 		for _, idx := range idxs {
 			data := make([]byte, host.PageSize)
 			if err := as.Read(idx<<host.PageShift, data); err != nil {
 				continue
 			}
-			ck.Pages = append(ck.Pages, PageDump{Addr: idx << host.PageShift, Data: data})
+			pages.Pages = append(pages.Pages, ckPage{Addr: idx << host.PageShift, Data: data})
+			if len(pages.Pages) == pagesPerSection {
+				appendSection(&buf, secPages, &pages)
+				pages.Pages = pages.Pages[:0]
+			}
 		}
 	}
+	// The last pages section goes out even when empty, so that a delta
+	// always carries its flag.
+	appendSection(&buf, secPages, &pages)
+	appendSection(&buf, secDone, nil)
+	// Every image is the baseline for the next delta.
 	as.ResetDirty()
-	return encodeCheckpoint(ck), nil
+	return buf.Bytes()
 }
 
 // ResumeFromBytes reconstructs a checkpointed process as the root of a
@@ -583,46 +579,22 @@ func (p *Process) CheckpointDeltaBytes() ([]byte, error) {
 // resumed program is re-entered from the top with a RESUMED=1 environment
 // marker (Go stacks cannot be serialized; see DESIGN.md).
 func (r *Runtime) ResumeFromBytes(man *monitor.Manifest, blob []byte) (*LaunchResult, error) {
-	ck, err := decodeCheckpoint(blob)
-	if err != nil {
-		return nil, err
-	}
-	if ck.Incremental {
-		// A delta applies over a restored base; it cannot boot a sandbox.
-		return nil, api.EINVAL
-	}
-	prog, ok := r.lookupProgram(ck.ProgramPath)
-	if !ok {
-		return nil, api.ENOENT
-	}
 	proc, _, err := r.mon.Launch(man)
 	if err != nil {
 		return nil, err
 	}
 	c := pal.New(r.kernel, proc, r.mon)
-	lib, err := newProcess(r, c, ck.PID, 0, "", "")
+	lib, meta, err := r.restore(c, bytes.NewReader(blob), nil, nil)
 	if err != nil {
 		proc.Exit(127)
 		return nil, err
 	}
-	if err := lib.restoreState(ck, nil); err != nil {
+	prog, ok := r.lookupProgram(meta.ProgramPath)
+	if !ok {
 		proc.Exit(127)
-		return nil, err
+		return nil, api.ENOENT
 	}
-	// Re-create the memory image from the page dump.
-	for _, reg := range regionsOf(ck) {
-		if _, err := c.DkVirtualMemoryAlloc(reg.Start, reg.End-reg.Start, reg.Prot); err != nil {
-			proc.Exit(127)
-			return nil, err
-		}
-	}
-	for _, pg := range ck.Pages {
-		if err := c.MemWrite(pg.Addr, pg.Data); err != nil {
-			proc.Exit(127)
-			return nil, err
-		}
-	}
-	helper, err := ipc.NewLeader(c, lib.svc(), ck.PID)
+	helper, err := ipc.NewLeader(c, lib.svc(), meta.PID)
 	if err != nil {
 		proc.Exit(127)
 		return nil, err
@@ -632,7 +604,7 @@ func (r *Runtime) ResumeFromBytes(man *monitor.Manifest, blob []byte) (*LaunchRe
 
 	res := &LaunchResult{Process: lib, Done: make(chan struct{})}
 	proc.NewThread(func(tid int) {
-		code := lib.runProgram(prog, ck.ProgramPath, ck.Argv)
+		code := lib.runProgram(prog, meta.ProgramPath, meta.Argv)
 		lib.doExit(code, 0)
 		res.exitCode = lib.exitCode
 		close(res.Done)

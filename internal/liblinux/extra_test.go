@@ -172,27 +172,46 @@ func TestCrashedChildSynthesizedExit(t *testing.T) {
 	}
 }
 
-// Property: checkpoint encode/decode round-trips arbitrary metadata.
+// Property: checkpoint sections round-trip arbitrary metadata through
+// appendSection and readSection, back to back in one image.
 func TestPropertyCheckpointRoundTrip(t *testing.T) {
 	f := func(pid, ppid, pgid int64, argv []string, cwd string, brk uint64, fds []int16) bool {
-		ck := &Checkpoint{
-			PID: pid, PPID: ppid, PGID: pgid,
-			Argv: argv, Cwd: cwd, Brk: brk,
-			Env: map[string]string{"K": cwd},
-		}
+		meta := ckMetaSection{PID: pid, PPID: ppid, PGID: pgid, Argv: argv, Cwd: cwd, Env: map[string]string{"K": cwd}}
+		mem := ckMemSection{Brk: brk, BrkEnd: brk}
+		var fdSec ckFDSection
 		for i, fd := range fds {
-			ck.FDs = append(ck.FDs, FDCheckpoint{FD: int(fd), Kind: i % 4, Pos: int64(i), HandleIndex: -1})
+			fdSec.FDs = append(fdSec.FDs, ckFD{FD: int(fd), Kind: i % 4, Pos: int64(i), HandleIndex: -1})
 		}
-		out, err := decodeCheckpoint(encodeCheckpoint(ck))
-		if err != nil {
+		var buf bytes.Buffer
+		appendSection(&buf, secMeta, &meta)
+		appendSection(&buf, secMemory, &mem)
+		appendSection(&buf, secFDs, &fdSec)
+		appendSection(&buf, secDone, nil)
+
+		var outMeta ckMetaSection
+		var outMem ckMemSection
+		var outFDs ckFDSection
+		for _, sec := range []struct {
+			kind byte
+			v    interface{}
+		}{{secMeta, &outMeta}, {secMemory, &outMem}, {secFDs, &outFDs}, {secDone, nil}} {
+			kind, payload, err := readSection(&buf)
+			if err != nil || kind != sec.kind {
+				return false
+			}
+			if sec.v != nil && gobDecode(payload, sec.v) != nil {
+				return false
+			}
+		}
+		if buf.Len() != 0 {
 			return false
 		}
-		if out.PID != ck.PID || out.PPID != ck.PPID || out.PGID != ck.PGID ||
-			out.Cwd != ck.Cwd || out.Brk != ck.Brk || len(out.FDs) != len(ck.FDs) {
+		if outMeta.PID != pid || outMeta.PPID != ppid || outMeta.PGID != pgid ||
+			outMeta.Cwd != cwd || outMem.Brk != brk || len(outFDs.FDs) != len(fds) {
 			return false
 		}
-		for i := range ck.Argv {
-			if out.Argv[i] != ck.Argv[i] {
+		for i := range argv {
+			if outMeta.Argv[i] != argv[i] {
 				return false
 			}
 		}

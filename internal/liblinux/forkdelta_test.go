@@ -108,10 +108,10 @@ func TestCheckpointDeltaScalesWithDirtyPages(t *testing.T) {
 	}
 }
 
-// TestZygoteSpawnFreshState pins the zygote cache's safety contract: the
-// per-program template only carries the static image, so each spawn must
-// see the parent's *current* environment and descriptors, not the state
-// from when the template was first built.
+// TestZygoteSpawnFreshState pins spawn's contract: each spawn captures the
+// parent's state afresh, so the child sees the parent's *current*
+// environment and descriptors, not those of an earlier spawn of the same
+// program.
 func TestZygoteSpawnFreshState(t *testing.T) {
 	rt, man := testEnv(t)
 	if err := rt.RegisterProgram("/bin/worker", func(c api.OS, argv []string) int {
@@ -120,7 +120,7 @@ func TestZygoteSpawnFreshState(t *testing.T) {
 		}
 		want := argv[1]
 		if got := c.Getenv("GEN"); got != want {
-			return 11 // stale environment from a cached template
+			return 11 // stale environment from an earlier spawn
 		}
 		fd, err := strconv.Atoi(argv[2])
 		if err != nil {
@@ -171,6 +171,6 @@ func TestZygoteSpawnFreshState(t *testing.T) {
 		return 0
 	})
 	if code != 0 {
-		t.Fatalf("zygote freshness failed at step %d", code)
+		t.Fatalf("spawn freshness failed at step %d", code)
 	}
 }

@@ -26,14 +26,6 @@ type Runtime struct {
 
 	mu       sync.Mutex
 	programs map[string]api.Program
-
-	// zygotes caches the encoded spawn template per program path (the
-	// "post-restore template checkpoint" of the fork pipeline): built on
-	// the first spawn of a path, reused by every later one, invalidated
-	// when the program is re-registered. Only static state lives here —
-	// dynamic state (env, cwd, descriptors, identity) is re-captured on
-	// every spawn.
-	zygotes map[string][]byte
 }
 
 // NewRuntime creates a runtime over the given host kernel and monitor.
@@ -42,7 +34,6 @@ func NewRuntime(k *host.Kernel, m *monitor.Monitor) *Runtime {
 		kernel:   k,
 		mon:      m,
 		programs: make(map[string]api.Program),
-		zygotes:  make(map[string][]byte),
 	}
 }
 
@@ -59,10 +50,6 @@ func (r *Runtime) RegisterProgram(path string, prog api.Program) error {
 	path = host.CleanPath(path)
 	r.mu.Lock()
 	r.programs[path] = prog
-	// Re-registering a program changes its image: drop the cached zygote
-	// template so the next spawn rebuilds it (see DESIGN.md invalidation
-	// rules).
-	delete(r.zygotes, path)
 	r.mu.Unlock()
 	dir := parentDir(path)
 	if dir != "/" {
@@ -87,22 +74,6 @@ func (r *Runtime) lookupProgram(path string) (api.Program, bool) {
 	defer r.mu.Unlock()
 	prog, ok := r.programs[host.CleanPath(path)]
 	return prog, ok
-}
-
-// zygoteFor returns the cached spawn template for path, building it on
-// first use. The template pins the program's post-exec memory layout
-// (fresh break, no mappings), letting spawn skip memory serialization and
-// bulk-IPC transfer entirely.
-func (r *Runtime) zygoteFor(path string) []byte {
-	path = host.CleanPath(path)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if b, ok := r.zygotes[path]; ok {
-		return b
-	}
-	b := gobBytes(&zygoteTemplate{ProgramPath: path, Brk: brkBase, BrkEnd: brkBase})
-	r.zygotes[path] = b
-	return b
 }
 
 // LaunchResult describes a launched root process.

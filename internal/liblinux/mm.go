@@ -103,18 +103,6 @@ func (m *mmState) Munmap(addr uint64, length uint64) error {
 	return nil
 }
 
-// regions lists all guest memory areas (break + mmaps) for checkpointing.
-func (m *mmState) regions() []Region {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Region, 0, len(m.mmaps)+1)
-	if m.brkEnd > brkBase {
-		out = append(out, Region{Start: brkBase, End: m.brkEnd, Prot: api.ProtRead | api.ProtWrite})
-	}
-	out = append(out, m.mmaps...)
-	return out
-}
-
 // restore installs a checkpointed memory layout (the pages arrive
 // separately, via bulk IPC or a page dump).
 func (m *mmState) restore(brk, brkEnd uint64, mmaps []Region) {

@@ -1,6 +1,7 @@
 package liblinux
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
@@ -205,8 +206,10 @@ func (p *Process) Exit(code int) {
 	panic(processExited{})
 }
 
-// doExit is the real exit path: notify the parent, persist IPC state,
-// close descriptors, and kill the picoprocess (§4.2 exit notification).
+// doExit is the real exit path: close descriptors, notify the parent,
+// persist IPC state, and kill the picoprocess (§4.2 exit notification).
+// Descriptors close first, as in exit(2): once the parent's wait returns,
+// a pipe the child held the last read end of must already fail with EPIPE.
 func (p *Process) doExit(code int, killedBy api.Signal) {
 	p.exitOnce.Do(func() {
 		p.mu.Lock()
@@ -219,13 +222,13 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 		if pgid != 0 && p.helper != nil {
 			_ = p.helper.LeaveGroup(pgid, p.pid)
 		}
+		p.fds.closeAll(p.pal)
 		if p.parentAddr != "" && p.helper != nil {
 			_ = p.helper.NotifyExitTo(p.parentAddr, p.pid, int64(code), killedBy)
 		}
 		if p.helper != nil {
 			p.helper.Shutdown()
 		}
-		p.fds.closeAll(p.pal)
 		p.pal.DkProcessExit(code)
 	})
 }
@@ -289,11 +292,9 @@ func (p *Process) Fork(childFn func(api.OS)) (int, error) {
 	return pid, err
 }
 
-// Spawn is fork+exec of path in the child, the common shell pattern. It
-// takes the zygote fast path: the child resets its memory image on exec
-// anyway, so no memory is serialized or transferred — the parent ships the
-// cached per-program template plus the fresh dynamic state (env, cwd,
-// descriptors, identity), which the regression tests pin as never-stale.
+// Spawn is fork+exec of path in the child, the common shell pattern. The
+// child resets its memory image and signal handlers on exec anyway, so the
+// parent ships neither: only identity, env, cwd and descriptors travel.
 func (p *Process) Spawn(path string, argv []string) (int, error) {
 	prog, ok := p.rt.lookupProgram(path)
 	if !ok {
@@ -303,26 +304,18 @@ func (p *Process) Spawn(path string, argv []string) (int, error) {
 	if _, err := p.pal.DkStreamAttributesQuery("file:" + path); err != nil {
 		return 0, err
 	}
-	ck, handles, err := p.checkpointMeta()
-	if err != nil {
-		return 0, err
-	}
-	// Fork+exec collapsed: the child's identity is the spawned program,
-	// which is also what the template is validated against.
-	ck.ProgramPath = host.CleanPath(path)
-	ck.Argv = append([]string(nil), argv...)
-	tmpl := p.rt.zygoteFor(path)
-	return p.shipCheckpoint(nil, ck, handles, tmpl, func(child *Process) int {
+	ck, handles := p.capture()
+	// Fork+exec collapsed: the child's identity is the spawned program.
+	ck.meta.ProgramPath = host.CleanPath(path)
+	ck.meta.Argv = append([]string(nil), argv...)
+	return p.shipCheckpoint(nil, ck, handles, func(child *Process) int {
 		child.resetForExec(path, argv)
 		return child.runProgram(prog, path, argv)
 	})
 }
 
 func (p *Process) forkInternal(childMain func(*Process) int) (int, error) {
-	ckptMeta, handles, err := p.checkpointMeta()
-	if err != nil {
-		return 0, err
-	}
+	ck, handles := p.capture()
 
 	// Bulk-IPC store for the copy-on-write memory image. The commits run on
 	// a producer goroutine, one batch per checkpointed region in order, so
@@ -334,7 +327,7 @@ func (p *Process) forkInternal(childMain func(*Process) int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	regions := regionsOf(ckptMeta)
+	regions := memRegions(ck.mem.BrkEnd, ck.mem.Regions)
 	go func() {
 		for _, r := range regions {
 			if _, err := p.pal.DkPhysicalMemoryCommit(store, r.Start, r.End-r.Start); err != nil {
@@ -343,14 +336,14 @@ func (p *Process) forkInternal(childMain func(*Process) int) (int, error) {
 			}
 		}
 	}()
-	return p.shipCheckpoint(store, ckptMeta, handles, nil, childMain)
+	return p.shipCheckpoint(store, ck, handles, childMain)
 }
 
 // shipCheckpoint creates the child picoprocess and streams the checkpoint
-// sections to it. With a store, the memory section is included and batches
-// travel out-of-band (fork); with a zygote template, memory is skipped
-// entirely (spawn).
-func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*host.Handle, zygote []byte, childMain func(*Process) int) (int, error) {
+// sections to it. With a store (fork), the memory and signal sections are
+// sent and page batches travel out-of-band; without one (spawn), the child
+// resets both on exec, so neither is sent.
+func (p *Process) shipCheckpoint(store *host.Handle, ck *ckpt, handles []*host.Handle, childMain func(*Process) int) (int, error) {
 	childReady := make(chan int64, 1)
 	childErr := make(chan error, 1)
 
@@ -395,26 +388,24 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 	}
 
 	// Stream the checkpoint sections; the child restores each as it lands.
-	if zygote != nil {
-		if err := writeSection(parentStream, secZygote, zygote); err != nil {
-			return fail(err)
-		}
+	// The meta section goes out alone so the child builds its process
+	// while the parent encodes the rest.
+	ck.meta.PID, ck.meta.PPID = childPID, p.pid
+	var buf bytes.Buffer
+	send := func() error {
+		_, err := parentStream.Write(buf.Bytes())
+		buf.Reset()
+		return err
 	}
-	meta := ckMetaSection{
-		PID: childPID, PPID: p.pid, PGID: ck.PGID,
-		ParentAddr: ck.ParentAddr, LeaderAddr: ck.LeaderAddr, ShardAddrs: ck.ShardAddrs,
-		ProgramPath: ck.ProgramPath, Argv: ck.Argv, Cwd: ck.Cwd, Env: ck.Env,
-	}
-	if err := writeSection(parentStream, secMeta, gobBytes(&meta)); err != nil {
+	appendSection(&buf, secMeta, &ck.meta)
+	if err := send(); err != nil {
 		return fail(err)
 	}
-	if zygote == nil {
-		mem := ckMemSection{Brk: ck.Brk, BrkEnd: ck.BrkEnd, Regions: ck.Regions}
-		if err := writeSection(parentStream, secMemory, gobBytes(&mem)); err != nil {
-			return fail(err)
-		}
+	if store != nil {
+		appendSection(&buf, secMemory, &ck.mem)
 	}
-	if err := writeSection(parentStream, secFDs, gobBytes(&ckFDSection{FDs: ck.FDs})); err != nil {
+	appendSection(&buf, secFDs, &ck.fds)
+	if err := send(); err != nil {
 		return fail(err)
 	}
 	// The initial stream's out-of-band buffer is bounded (64 slots) and
@@ -437,14 +428,11 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	if zygote == nil {
-		// Spawned children reset dispositions on exec; only fork ships them.
-		sig := ckSigSection{Dispositions: ck.Dispositions}
-		if err := writeSection(parentStream, secSig, gobBytes(&sig)); err != nil {
-			return fail(err)
-		}
+	if store != nil {
+		appendSection(&buf, secSig, &ck.sig)
 	}
-	if err := writeSection(parentStream, secDone, nil); err != nil {
+	appendSection(&buf, secDone, nil)
+	if err := send(); err != nil {
 		return fail(err)
 	}
 

@@ -144,13 +144,6 @@ func (s *signalState) drain() {
 	}
 }
 
-// pendingCount reports queued-but-undelivered signals (tests).
-func (s *signalState) pendingCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
-
 // resetHandlers restores default dispositions across exec.
 func (s *signalState) resetHandlers() {
 	s.mu.Lock()
