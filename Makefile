@@ -78,13 +78,14 @@ cover:
 	$(GO) test -shuffle=on -covermode=atomic -coverprofile=coverage.out $(PKGS)
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short smoke run of the frame-codec and checkpoint-decode fuzzers (the
-# checked-in corpora under internal/ipc/testdata/fuzz and
+# Short smoke run of the frame-codec, checkpoint-decode and section-codec
+# fuzzers (the checked-in corpora under internal/ipc/testdata/fuzz and
 # internal/liblinux/testdata/fuzz always run as part of `make test`).
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzFrameCodec -fuzztime 30s ./internal/ipc/
 	$(GO) test -run XXX -fuzz FuzzFrameDecode -fuzztime 30s ./internal/ipc/
 	$(GO) test -run XXX -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/liblinux/
+	$(GO) test -run XXX -fuzz FuzzSectionCodec -fuzztime 30s ./internal/liblinux/
 
 # Microbenchmarks with allocation accounting for the hot path.
 bench:

@@ -328,6 +328,12 @@ func FleetMain(p api.OS, argv []string) int {
 	if _, okT := p.(api.Threader); !okT {
 		return 1
 	}
+	// A client may hang up before the master answers it (shed503 writes to
+	// connections that waited out their deadline): that write must fail
+	// with EPIPE, not kill the master or the standby with SIGPIPE.
+	if err := p.Sigaction(api.SIGPIPE, nil, api.SigIgn); err != nil {
+		return 1
+	}
 	if cfg.role == "standby" {
 		return standbyMain(p, cfg)
 	}

@@ -490,6 +490,66 @@ func TestFleetShedsOverload(t *testing.T) {
 	drainFleet(t, e, wait)
 }
 
+// TestFleetSurvivesClientHangupBeforeShed: a client that connects and
+// hangs up before the master sheds it makes the master's ERR 503 write
+// fail with EPIPE. The master ignores SIGPIPE, so it keeps answering
+// clients and drains cleanly instead of dying of the signal (exit 141).
+func TestFleetSurvivesClientHangupBeforeShed(t *testing.T) {
+	e, g := grapheneFleet(t)
+	if err := g.rt.RegisterProgram("/bin/hangup", func(p api.OS, argv []string) int {
+		fd, err := p.Connect(api.SockAddr(argv[1]))
+		if err != nil {
+			return 1
+		}
+		if p.Close(fd) != nil {
+			return 1
+		}
+		return 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	seedDocroot(t, e)
+	wait, _, err := e.startMaster(fleetArgs("127.0.0.1:8207", 1,
+		"cap=1", "queue=4", "shed_ms=50", "wedge_ms=10000", "drain_ms=300"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitBoard(t, e, 5*time.Second, "alive=1", func(l string) bool {
+		return scoreboardField(l, "alive") == 1
+	})
+	// With the only worker wedged, every new connection waits out shed_ms.
+	if _, err := e.launch("/bin/get1", []string{"get1", "127.0.0.1:8207", "/__wedge"}); err != nil {
+		t.Fatal(err)
+	}
+	waitBoard(t, e, 5*time.Second, "worker wedged", func(l string) bool {
+		return scoreboardField(l, "dispatched") == 1
+	})
+	hangup, err := e.launch("/bin/hangup", []string{"hangup", "127.0.0.1:8207"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := hangup(t); code != 0 {
+		t.Fatalf("hangup exit = %d", code)
+	}
+	waitBoard(t, e, 5*time.Second, "hung-up client shed", func(l string) bool {
+		return scoreboardField(l, "shed") > 0
+	})
+	// The master still answers: later clients get their 503s.
+	c := installSink(t, nil)
+	lg, err := e.launch("/bin/loadgen", []string{"loadgen", "127.0.0.1:8207", "/www-index", "0", "100", "2", "timeout_ms=2000"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := lg(t); code != 0 {
+		t.Fatalf("loadgen exit = %d", code)
+	}
+	if c.shed.Load() == 0 {
+		t.Fatalf("master answered nobody after the hangup: ok=%d shed=%d err=%d",
+			c.ok.Load(), c.shed.Load(), c.errs.Load())
+	}
+	drainFleet(t, e, wait)
+}
+
 // The wedge-quarantine lifecycle (quarantine after wedge_ms, kill after
 // kill_grace_ms, replacement) is timing policy, and timing policy is
 // tested on the fake clock: TestSimWedgeQuarantineKillReplace asserts the

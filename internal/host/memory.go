@@ -8,6 +8,7 @@ package host
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -103,13 +104,13 @@ func (p *Page) write(off int, data []byte) {
 	copy(p.data[off:], data)
 }
 
-// VMA is one virtual memory area: a contiguous, page-aligned mapping.
+// VMA is one virtual memory area: a contiguous, page-aligned mapping. It
+// holds only range and protection; the pages live in the address space's
+// page table, so splitting a VMA moves no pages.
 type VMA struct {
 	Start uint64
 	End   uint64 // exclusive
 	Prot  int
-	// pages maps page index (addr >> PageShift) to the backing page.
-	pages map[uint64]*Page
 }
 
 // Len returns the VMA length in bytes.
@@ -127,12 +128,67 @@ type AddressSpace struct {
 	// bytes of touched pages, the basis of the Figure 4 footprint numbers.
 	committed uint64
 
-	// dirty records page indices written since the last ResetDirty: every
-	// store (including COW breaks) and every installed or slab-touched page
-	// lands here. Incremental checkpoints ship exactly this set instead of
-	// every resident page, so checkpoint cost scales with the write working
-	// set. Allocated lazily; freed pages are dropped from the set.
-	dirty map[uint64]struct{}
+	// leaves is the page table, sorted by leaf number. A leaf exists only
+	// once one of its pages has been touched, so the table costs memory in
+	// proportion to touched pages, never to mapped length.
+	leaves []*ptLeaf
+}
+
+// A page-table leaf covers leafPages consecutive pages (2 MiB, an x86-64
+// last-level table).
+const (
+	leafShift = 9
+	leafPages = 1 << leafShift
+)
+
+// ptLeaf is one page-table leaf: the backing page of each slot and a dirty
+// bit per slot. A dirty bit records a write since the last ResetDirty —
+// every store (including COW breaks) and every installed or slab-touched
+// page sets it — so incremental checkpoints ship exactly the write working
+// set instead of every resident page. Freeing a page clears its bit.
+type ptLeaf struct {
+	num   uint64 // page index >> leafShift
+	used  int    // non-nil slots; an empty leaf is dropped
+	pages [leafPages]*Page
+	dirty [leafPages / 64]uint64
+}
+
+func (l *ptLeaf) set(slot uint64, pg *Page) {
+	if l.pages[slot] == nil {
+		l.used++
+	}
+	l.pages[slot] = pg
+}
+
+func (l *ptLeaf) markDirty(slot uint64) {
+	l.dirty[slot/64] |= 1 << (slot % 64)
+}
+
+// clear unmaps the slots [lo, hi), dropping their references and dirty
+// bits.
+func (l *ptLeaf) clear(lo, hi uint64) {
+	for i := lo; i < hi; i++ {
+		if pg := l.pages[i]; pg != nil {
+			pg.Unref()
+			l.pages[i] = nil
+			l.used--
+		}
+		l.dirty[i/64] &^= 1 << (i % 64)
+	}
+}
+
+// slots returns the slot range of l that falls inside the page indices
+// [lo, hi).
+func (l *ptLeaf) slots(lo, hi uint64) (uint64, uint64) {
+	base := l.num << leafShift
+	from, to := uint64(0), uint64(leafPages)
+	if lo > base {
+		from = lo - base
+	}
+	if hi < base+leafPages {
+		to = hi - base
+	}
+	return from, to
 }
 
 // Address space layout constants for kernel-chosen placements.
@@ -146,11 +202,81 @@ func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{next: mmapBase}
 }
 
-func (as *AddressSpace) markDirtyLocked(idx uint64) {
-	if as.dirty == nil {
-		as.dirty = make(map[uint64]struct{})
+// leafIndexLocked returns the position of leaf number n in as.leaves, or
+// where it would be inserted.
+func (as *AddressSpace) leafIndexLocked(n uint64) int {
+	return sort.Search(len(as.leaves), func(i int) bool { return as.leaves[i].num >= n })
+}
+
+// leafLocked returns the leaf holding page idx and idx's slot in it,
+// allocating the leaf when create is set; nil if absent and not created.
+func (as *AddressSpace) leafLocked(idx uint64, create bool) (*ptLeaf, uint64) {
+	n, slot := idx>>leafShift, idx&(leafPages-1)
+	i := as.leafIndexLocked(n)
+	if i < len(as.leaves) && as.leaves[i].num == n {
+		return as.leaves[i], slot
 	}
-	as.dirty[idx] = struct{}{}
+	if !create {
+		return nil, slot
+	}
+	l := &ptLeaf{num: n}
+	as.leaves = append(as.leaves, nil)
+	copy(as.leaves[i+1:], as.leaves[i:])
+	as.leaves[i] = l
+	return l, slot
+}
+
+func (as *AddressSpace) pageLocked(idx uint64) *Page {
+	if l, slot := as.leafLocked(idx, false); l != nil {
+		return l.pages[slot]
+	}
+	return nil
+}
+
+// leafRangeLocked returns the bounds in as.leaves of the leaves that hold
+// pages of [lo, hi) (page indices): walks over the range visit only leaves
+// that exist, however sparse the range.
+func (as *AddressSpace) leafRangeLocked(lo, hi uint64) (i, j int) {
+	if lo >= hi {
+		return 0, 0
+	}
+	return as.leafIndexLocked(lo >> leafShift), as.leafIndexLocked((hi-1)>>leafShift + 1)
+}
+
+// leavesLocked returns the leaves that hold pages of [lo, hi), in
+// ascending order.
+func (as *AddressSpace) leavesLocked(lo, hi uint64) []*ptLeaf {
+	i, j := as.leafRangeLocked(lo, hi)
+	return as.leaves[i:j]
+}
+
+// unmapLocked drops the pages of [lo, hi) (page indices) from the page
+// table, and the leaves that become empty.
+func (as *AddressSpace) unmapLocked(lo, hi uint64) {
+	i, j := as.leafRangeLocked(lo, hi)
+	k := i
+	for _, l := range as.leaves[i:j] {
+		l.clear(l.slots(lo, hi))
+		if l.used > 0 {
+			as.leaves[k] = l
+			k++
+		}
+	}
+	if k < j {
+		n := copy(as.leaves[k:], as.leaves[j:])
+		clear(as.leaves[k+n:])
+		as.leaves = as.leaves[:k+n]
+	}
+}
+
+// pageSpan returns the page indices [lo, hi) of the pages that overlap
+// [start, end).
+func pageSpan(start, end uint64) (lo, hi uint64) {
+	hi = end >> PageShift
+	if end&(PageSize-1) != 0 {
+		hi++
+	}
+	return start >> PageShift, hi
 }
 
 // validSpan reports whether [addr, addr+length) is non-empty and, rounded
@@ -190,7 +316,7 @@ func (as *AddressSpace) Alloc(addr uint64, length uint64, prot int) (uint64, err
 			return 0, api.ENOMEM
 		}
 	}
-	v := &VMA{Start: addr, End: addr + length, Prot: prot, pages: make(map[uint64]*Page)}
+	v := &VMA{Start: addr, End: addr + length, Prot: prot}
 	as.insertLocked(v)
 	as.committed += length
 	return addr, nil
@@ -205,6 +331,8 @@ func (as *AddressSpace) Free(addr uint64, length uint64) error {
 	end := pageAlignUp(addr + length)
 	as.mu.Lock()
 	defer as.mu.Unlock()
+	// Walking in address order keeps heads, tails and untouched VMAs
+	// sorted.
 	var kept []*VMA
 	for _, v := range as.vmas {
 		if v.End <= start || v.Start >= end {
@@ -213,40 +341,15 @@ func (as *AddressSpace) Free(addr uint64, length uint64) error {
 		}
 		// Overlap: keep the non-overlapping head and tail.
 		if v.Start < start {
-			head := &VMA{Start: v.Start, End: start, Prot: v.Prot, pages: make(map[uint64]*Page)}
-			for idx, pg := range v.pages {
-				if idx < start>>PageShift {
-					head.pages[idx] = pg
-				}
-			}
-			kept = append(kept, head)
+			kept = append(kept, &VMA{Start: v.Start, End: start, Prot: v.Prot})
 		}
 		if v.End > end {
-			tail := &VMA{Start: end, End: v.End, Prot: v.Prot, pages: make(map[uint64]*Page)}
-			for idx, pg := range v.pages {
-				if idx >= end>>PageShift {
-					tail.pages[idx] = pg
-				}
-			}
-			kept = append(kept, tail)
+			kept = append(kept, &VMA{Start: end, End: v.End, Prot: v.Prot})
 		}
-		// Release pages in the freed range.
-		lo, hi := maxU64(v.Start, start)>>PageShift, minU64(v.End, end)>>PageShift
-		for idx, pg := range v.pages {
-			if idx >= lo && idx < hi {
-				pg.Unref()
-			}
-		}
-		freed := minU64(v.End, end) - maxU64(v.Start, start)
-		as.committed -= freed
+		as.committed -= minU64(v.End, end) - maxU64(v.Start, start)
 	}
-	for idx := range as.dirty {
-		if idx >= start>>PageShift && idx < end>>PageShift {
-			delete(as.dirty, idx)
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Start < kept[j].Start })
 	as.vmas = kept
+	as.unmapLocked(start>>PageShift, end>>PageShift)
 	return nil
 }
 
@@ -278,22 +381,14 @@ func (as *AddressSpace) Protect(addr uint64, length uint64, prot int) error {
 			continue
 		}
 		split := func(lo, hi uint64, p int) {
-			if lo >= hi {
-				return
+			if lo < hi {
+				out = append(out, &VMA{Start: lo, End: hi, Prot: p})
 			}
-			nv := &VMA{Start: lo, End: hi, Prot: p, pages: make(map[uint64]*Page)}
-			for idx, pg := range v.pages {
-				if idx >= lo>>PageShift && idx < hi>>PageShift {
-					nv.pages[idx] = pg
-				}
-			}
-			out = append(out, nv)
 		}
 		split(v.Start, maxU64(v.Start, start), v.Prot)
 		split(maxU64(v.Start, start), minU64(v.End, end), prot)
 		split(minU64(v.End, end), v.End, v.Prot)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	as.vmas = out
 	return nil
 }
@@ -317,16 +412,17 @@ func (as *AddressSpace) Write(addr uint64, data []byte) error {
 		if n > len(data) {
 			n = len(data)
 		}
-		pg := v.pages[idx]
+		l, slot := as.leafLocked(idx, true)
+		pg := l.pages[slot]
 		if pg == nil {
 			pg = NewPage()
-			v.pages[idx] = pg
+			l.set(slot, pg)
 		} else if pg.Shared() {
 			pg = pg.copyForWrite()
-			v.pages[idx] = pg
+			l.pages[slot] = pg
 		}
 		pg.write(off, data[:n])
-		as.markDirtyLocked(idx)
+		l.markDirty(slot)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -352,7 +448,7 @@ func (as *AddressSpace) Read(addr uint64, buf []byte) error {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if pg := v.pages[idx]; pg != nil {
+		if pg := as.pageLocked(idx); pg != nil {
 			pg.read(off, buf[:n])
 		} else {
 			for i := 0; i < n; i++ {
@@ -388,9 +484,9 @@ func (as *AddressSpace) ResidentBytes() uint64 {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	var total float64
-	for _, v := range as.vmas {
-		for _, pg := range v.pages {
-			if !pg.Resident() {
+	for _, l := range as.leaves {
+		for _, pg := range l.pages {
+			if pg == nil || !pg.Resident() {
 				continue
 			}
 			pg.mu.Lock()
@@ -406,18 +502,16 @@ func (as *AddressSpace) ResidentBytes() uint64 {
 }
 
 // TouchedPages returns the indices of resident pages within [start, end),
-// along with their backing pages, for bulk IPC.
+// in ascending order, along with their backing pages, for bulk IPC.
 func (as *AddressSpace) TouchedPages(start, end uint64) (idxs []uint64, pages []*Page) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for _, v := range as.vmas {
-		if v.End <= start || v.Start >= end {
-			continue
-		}
-		for idx, pg := range v.pages {
-			a := idx << PageShift
-			if a >= start && a < end && pg.Resident() {
-				idxs = append(idxs, idx)
+	lo, hi := pageSpan(start, end)
+	for _, l := range as.leavesLocked(lo, hi) {
+		from, to := l.slots(lo, hi)
+		for i := from; i < to; i++ {
+			if pg := l.pages[i]; pg != nil && pg.Resident() {
+				idxs = append(idxs, l.num<<leafShift+i)
 				pages = append(pages, pg)
 			}
 		}
@@ -426,34 +520,38 @@ func (as *AddressSpace) TouchedPages(start, end uint64) (idxs []uint64, pages []
 }
 
 // DirtyPages returns the indices (and backing pages) of resident pages
-// within [start, end) written since the last ResetDirty. This is what an
-// incremental checkpoint ships: the write working set, not the full
-// resident set.
+// within [start, end) written since the last ResetDirty, in ascending
+// order. This is what an incremental checkpoint ships: the write working
+// set, not the full resident set.
 func (as *AddressSpace) DirtyPages(start, end uint64) (idxs []uint64, pages []*Page) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	lo, hi := start>>PageShift, (end+PageSize-1)>>PageShift
-	for idx := range as.dirty {
-		if idx < lo || idx >= hi {
-			continue
-		}
-		v := as.findLocked(idx << PageShift)
-		if v == nil {
-			continue
-		}
-		if pg := v.pages[idx]; pg != nil && pg.Resident() {
-			idxs = append(idxs, idx)
-			pages = append(pages, pg)
+	lo, hi := pageSpan(start, end)
+	for _, l := range as.leavesLocked(lo, hi) {
+		from, to := l.slots(lo, hi)
+		for w := from / 64; w <= (to-1)/64; w++ {
+			for word := l.dirty[w]; word != 0; word &= word - 1 {
+				i := w*64 + uint64(bits.TrailingZeros64(word))
+				if i < from || i >= to {
+					continue
+				}
+				if pg := l.pages[i]; pg != nil && pg.Resident() {
+					idxs = append(idxs, l.num<<leafShift+i)
+					pages = append(pages, pg)
+				}
+			}
 		}
 	}
 	return idxs, pages
 }
 
-// ResetDirty clears the dirty set — called after a checkpoint snapshot so
+// ResetDirty clears the dirty bits — called after a checkpoint snapshot so
 // the next one ships only pages touched since.
 func (as *AddressSpace) ResetDirty() {
 	as.mu.Lock()
-	as.dirty = nil
+	for _, l := range as.leaves {
+		l.dirty = [leafPages / 64]uint64{}
+	}
 	as.mu.Unlock()
 }
 
@@ -466,16 +564,16 @@ func (as *AddressSpace) InstallPage(idx uint64, pg *Page) error {
 }
 
 func (as *AddressSpace) installPageLocked(idx uint64, pg *Page) error {
-	v := as.findLocked(idx << PageShift)
-	if v == nil {
+	if as.findLocked(idx<<PageShift) == nil {
 		return api.EFAULT
 	}
-	if old := v.pages[idx]; old != nil {
+	l, slot := as.leafLocked(idx, true)
+	if old := l.pages[slot]; old != nil {
 		old.Unref()
 	}
 	pg.Ref()
-	v.pages[idx] = pg
-	as.markDirtyLocked(idx)
+	l.set(slot, pg)
+	l.markDirty(slot)
 	return nil
 }
 
@@ -509,13 +607,8 @@ func (as *AddressSpace) TouchRange(addr, length uint64) error {
 	end := pageAlignUp(addr + length)
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	// Fresh pages materialize as zero-fill out of one Page slab: no
-	// backing memclr (the dominant cost of the old per-page loop — 1.4 MB
-	// zeroed per fork for the libOS image), and one allocation for the
-	// whole range's bookkeeping.
-	slab := make([]Page, (end-start)>>PageShift)
-	si := 0
-	for a := start; a < end; a += PageSize {
+	// Check the whole range first, so a fault leaves no page touched.
+	for a := start; a < end; {
 		v := as.findLocked(a)
 		if v == nil {
 			return api.EFAULT
@@ -523,20 +616,25 @@ func (as *AddressSpace) TouchRange(addr, length uint64) error {
 		if v.Prot&api.ProtWrite == 0 {
 			return api.EACCES
 		}
-		idx := a >> PageShift
-		pg := v.pages[idx]
-		switch {
+		a = v.End
+	}
+	// Fresh pages materialize as zero-fill out of one Page slab: no
+	// backing memclr (the dominant cost of the old per-page loop — 1.4 MB
+	// zeroed per fork for the libOS image), and one allocation for the
+	// whole range's bookkeeping.
+	slab := make([]Page, (end-start)>>PageShift)
+	for si, idx := 0, start>>PageShift; idx < end>>PageShift; si, idx = si+1, idx+1 {
+		l, slot := as.leafLocked(idx, true)
+		switch pg := l.pages[slot]; {
 		case pg == nil:
 			fresh := &slab[si]
 			fresh.refs = 1
 			fresh.zeroFill = true
-			v.pages[idx] = fresh
+			l.set(slot, fresh)
 		case pg.Shared():
-			pg = pg.copyForWrite()
-			v.pages[idx] = pg
+			l.pages[slot] = pg.copyForWrite()
 		}
-		as.markDirtyLocked(idx)
-		si++
+		l.markDirty(slot)
 	}
 	return nil
 }
@@ -551,12 +649,18 @@ func (as *AddressSpace) ForkCOW() *AddressSpace {
 	child.next = as.next
 	child.committed = as.committed
 	for _, v := range as.vmas {
-		nv := &VMA{Start: v.Start, End: v.End, Prot: v.Prot, pages: make(map[uint64]*Page, len(v.pages))}
-		for idx, pg := range v.pages {
-			pg.Ref()
-			nv.pages[idx] = pg
+		child.vmas = append(child.vmas, &VMA{Start: v.Start, End: v.End, Prot: v.Prot})
+	}
+	child.leaves = make([]*ptLeaf, len(as.leaves))
+	for i, l := range as.leaves {
+		// The child starts with no dirty pages.
+		nl := &ptLeaf{num: l.num, used: l.used, pages: l.pages}
+		for _, pg := range nl.pages {
+			if pg != nil {
+				pg.Ref()
+			}
 		}
-		child.vmas = append(child.vmas, nv)
+		child.leaves[i] = nl
 	}
 	return child
 }
@@ -565,14 +669,16 @@ func (as *AddressSpace) ForkCOW() *AddressSpace {
 func (as *AddressSpace) Release() {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for _, v := range as.vmas {
-		for _, pg := range v.pages {
-			pg.Unref()
+	for _, l := range as.leaves {
+		for _, pg := range l.pages {
+			if pg != nil {
+				pg.Unref()
+			}
 		}
 	}
 	as.vmas = nil
 	as.committed = 0
-	as.dirty = nil
+	as.leaves = nil
 }
 
 func (as *AddressSpace) insertLocked(v *VMA) {

@@ -2,6 +2,7 @@ package host
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -372,5 +373,114 @@ func TestPropertyAllocFreeAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A mapping costs page-table memory only where it is touched: one page
+// written inside a 1 TiB mapping allocates one leaf, and freeing the
+// mapping drops it.
+func TestHugeSparseMappingAllocatesOneLeaf(t *testing.T) {
+	as := NewAddressSpace()
+	const base, size = uint64(0x1000_0000_0000), uint64(1) << 40
+	if _, err := as.Alloc(base, size, api.ProtRead|api.ProtWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Write(base+size/2+123, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(as.leaves); n != 1 {
+		t.Fatalf("leaves = %d, want 1", n)
+	}
+	if got := as.ResidentBytes(); got != PageSize {
+		t.Fatalf("resident = %d, want %d", got, PageSize)
+	}
+	if err := as.Free(base, size); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(as.leaves); n != 0 {
+		t.Fatalf("leaves after Free = %d, want 0", n)
+	}
+}
+
+// Splitting a VMA, by Protect or by Free, keeps the contents and the dirty
+// bits of the pages that survive it.
+func TestSplitKeepsContentsAndDirtyBits(t *testing.T) {
+	as := NewAddressSpace()
+	addr, _ := as.Alloc(0, 6*PageSize, api.ProtRead|api.ProtWrite)
+	for i := uint64(0); i < 6; i++ {
+		if err := as.Write(addr+i*PageSize, []byte{byte('a' + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	as.ResetDirty()
+	for _, i := range []uint64{0, 2, 5} {
+		if err := as.Write(addr+i*PageSize+1, []byte{'!'}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := as.Protect(addr+2*PageSize, PageSize, api.ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Free(addr+3*PageSize, 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []uint64{0, 1, 2, 5} {
+		buf := make([]byte, 1)
+		if err := as.Read(addr+i*PageSize, buf); err != nil || buf[0] != byte('a'+i) {
+			t.Fatalf("page %d after split = %q, %v", i, buf, err)
+		}
+	}
+	base := addr >> PageShift
+	idxs, _ := as.DirtyPages(addr, addr+6*PageSize)
+	if want := []uint64{base, base + 2, base + 5}; !slices.Equal(idxs, want) {
+		t.Fatalf("dirty pages = %v, want %v", idxs, want)
+	}
+}
+
+// TouchedPages and DirtyPages list pages in ascending address order,
+// whatever order they were written in and however many leaves they span.
+func TestPageListsAscending(t *testing.T) {
+	as := NewAddressSpace()
+	const n = 3 * leafPages
+	addr, _ := as.Alloc(0, n*PageSize, api.ProtRead|api.ProtWrite)
+	var want []uint64
+	for i := uint64(0); i < n; i += 97 {
+		want = append(want, addr>>PageShift+i)
+	}
+	for i := len(want) - 1; i >= 0; i-- {
+		if err := as.Write(want[i]<<PageShift, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touched, _ := as.TouchedPages(addr, addr+n*PageSize)
+	dirty, _ := as.DirtyPages(addr, addr+n*PageSize)
+	if !slices.Equal(touched, want) || !slices.Equal(dirty, want) {
+		t.Fatalf("touched = %v\ndirty = %v\nwant %v", touched, dirty, want)
+	}
+}
+
+// Free clears the dirty bits of its range: a page mapped again at a freed
+// address is neither dirty nor resident until it is written.
+func TestFreeClearsDirtyBits(t *testing.T) {
+	as := NewAddressSpace()
+	addr, _ := as.Alloc(0, 4*PageSize, api.ProtRead|api.ProtWrite)
+	for i := uint64(0); i < 4; i++ {
+		if err := as.Write(addr+i*PageSize, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := as.Free(addr+PageSize, 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.Alloc(addr+PageSize, 2*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+		t.Fatal(err)
+	}
+	base := addr >> PageShift
+	dirty, _ := as.DirtyPages(addr, addr+4*PageSize)
+	if want := []uint64{base, base + 3}; !slices.Equal(dirty, want) {
+		t.Fatalf("dirty pages = %v, want %v", dirty, want)
+	}
+	if touched, _ := as.TouchedPages(addr+PageSize, addr+3*PageSize); len(touched) != 0 {
+		t.Fatalf("freed pages still resident: %v", touched)
 	}
 }

@@ -3,8 +3,8 @@ package liblinux
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"io"
+	"sort"
 	"time"
 
 	"graphene/internal/api"
@@ -28,8 +28,10 @@ type ckFD struct {
 
 // ============================================================
 // The checkpoint format (§5, §6.1). Fork, spawn and migration write one
-// stream of typed sections — [kind:1][len:4][payload], gob payloads —
-// ending in secDone, and one reader, restore, consumes every image.
+// stream of typed sections — [kind:1][len:4][payload] — ending in secDone,
+// and one reader, restore, consumes every image. Payloads are a fixed
+// field order of varints and uvarint-length-prefixed strings (see each
+// section's appendTo); the meta payload leads with ckptVersion.
 //
 // Fork streams the sections over the initial stream while a producer
 // goroutine commits memory batches into the bulk-IPC store, and the child
@@ -59,6 +61,19 @@ const (
 	maxSection      = 64 << 20
 	pagesPerSection = 1024
 )
+
+// ckptVersion is the first byte of every meta payload. The reader accepts
+// only this version, so an image in any other layout — including the
+// earlier gob-encoded format — is EINVAL rather than misread.
+const ckptVersion = 1
+
+// section is one section payload; appendTo encodes it at the end of b.
+// Each section type also has a decode method that parses a whole payload
+// and fails with EINVAL on a malformed field, a count the payload cannot
+// hold, or a trailing byte.
+type section interface {
+	appendTo(b []byte) []byte
+}
 
 // ckMetaSection is the identity/dynamic-state section, captured fresh on
 // every fork, spawn and migration.
@@ -97,6 +112,294 @@ type ckPagesSection struct {
 type ckPage struct {
 	Addr uint64
 	Data []byte
+}
+
+// ============================================================
+// Section codec. Integers are varints (uvarint where the value cannot be
+// negative), strings and page data are uvarint length + bytes, and lists
+// are a uvarint count + elements. Maps are written in ascending key order,
+// so one state always encodes to the same image.
+// ============================================================
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
+}
+
+// ckDecoder parses one payload. The first malformed field poisons it: every
+// later read returns a zero value, and done reports EINVAL.
+type ckDecoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *ckDecoder) fail() {
+	d.bad, d.b = true, nil
+}
+
+func (d *ckDecoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail()
+		return 0
+	}
+	v := d.b[0]
+	d.b = d.b[1:]
+	return v
+}
+
+func (d *ckDecoder) bool() bool {
+	switch d.byte() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	d.fail()
+	return false
+}
+
+func (d *ckDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *ckDecoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *ckDecoder) int() int { return int(d.varint()) }
+
+// bytes returns the next length-prefixed field, aliasing the payload.
+func (d *ckDecoder) bytes() []byte {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail()
+		return nil
+	}
+	v := d.b[:n:n]
+	d.b = d.b[n:]
+	return v
+}
+
+// string copies the next length-prefixed field out of the payload, so the
+// payload buffer can be reused for the next section.
+func (d *ckDecoder) string() string { return string(d.bytes()) }
+
+// count reads a list length. Every element takes at least minSize bytes, so a
+// count the remaining payload cannot hold fails here, before any
+// allocation is sized by it.
+func (d *ckDecoder) count(minSize int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/minSize) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
+func (d *ckDecoder) strings() []string {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = d.string()
+	}
+	return out
+}
+
+// done reports whether the payload parsed cleanly and was consumed exactly.
+func (d *ckDecoder) done() error {
+	if d.bad || len(d.b) != 0 {
+		return api.EINVAL
+	}
+	return nil
+}
+
+// Meta: [version:1] PID PPID PGID ParentAddr LeaderAddr ShardAddrs
+// ProgramPath Argv Cwd Env, with Env as a count of key, value pairs.
+func (m *ckMetaSection) appendTo(b []byte) []byte {
+	b = append(b, ckptVersion)
+	b = binary.AppendVarint(b, m.PID)
+	b = binary.AppendVarint(b, m.PPID)
+	b = binary.AppendVarint(b, m.PGID)
+	b = appendString(b, m.ParentAddr)
+	b = appendString(b, m.LeaderAddr)
+	b = appendStrings(b, m.ShardAddrs)
+	b = appendString(b, m.ProgramPath)
+	b = appendStrings(b, m.Argv)
+	b = appendString(b, m.Cwd)
+	keys := make([]string, 0, len(m.Env))
+	for k := range m.Env {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = appendString(appendString(b, k), m.Env[k])
+	}
+	return b
+}
+
+func (m *ckMetaSection) decode(payload []byte) error {
+	d := ckDecoder{b: payload}
+	if d.byte() != ckptVersion {
+		return api.EINVAL
+	}
+	*m = ckMetaSection{
+		PID:         d.varint(),
+		PPID:        d.varint(),
+		PGID:        d.varint(),
+		ParentAddr:  d.string(),
+		LeaderAddr:  d.string(),
+		ShardAddrs:  d.strings(),
+		ProgramPath: d.string(),
+		Argv:        d.strings(),
+		Cwd:         d.string(),
+	}
+	if n := d.count(2); n > 0 {
+		m.Env = make(map[string]string, n)
+		prev := ""
+		for i := 0; i < n; i++ {
+			k := d.string()
+			// Keys are written strictly ascending; anything else is forged.
+			if i > 0 && k <= prev {
+				d.fail()
+			}
+			m.Env[k], prev = d.string(), k
+		}
+	}
+	return d.done()
+}
+
+// Memory: Brk BrkEnd, then a count of Start End Prot regions.
+func (m *ckMemSection) appendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, m.Brk)
+	b = binary.AppendUvarint(b, m.BrkEnd)
+	b = binary.AppendUvarint(b, uint64(len(m.Regions)))
+	for _, r := range m.Regions {
+		b = binary.AppendUvarint(b, r.Start)
+		b = binary.AppendUvarint(b, r.End)
+		b = binary.AppendVarint(b, int64(r.Prot))
+	}
+	return b
+}
+
+func (m *ckMemSection) decode(payload []byte) error {
+	d := ckDecoder{b: payload}
+	*m = ckMemSection{Brk: d.uvarint(), BrkEnd: d.uvarint()}
+	if n := d.count(3); n > 0 {
+		m.Regions = make([]Region, n)
+		for i := range m.Regions {
+			m.Regions[i] = Region{Start: d.uvarint(), End: d.uvarint(), Prot: d.int()}
+		}
+	}
+	return d.done()
+}
+
+// FDs: a count of FD Kind Path Flags Pos HandleIndex descriptors.
+func (s *ckFDSection) appendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.FDs)))
+	for _, fc := range s.FDs {
+		b = binary.AppendVarint(b, int64(fc.FD))
+		b = binary.AppendVarint(b, int64(fc.Kind))
+		b = appendString(b, fc.Path)
+		b = binary.AppendVarint(b, int64(fc.Flags))
+		b = binary.AppendVarint(b, fc.Pos)
+		b = binary.AppendVarint(b, int64(fc.HandleIndex))
+	}
+	return b
+}
+
+func (s *ckFDSection) decode(payload []byte) error {
+	d := ckDecoder{b: payload}
+	*s = ckFDSection{}
+	if n := d.count(6); n > 0 {
+		s.FDs = make([]ckFD, n)
+		for i := range s.FDs {
+			s.FDs[i] = ckFD{FD: d.int(), Kind: d.int(), Path: d.string(), Flags: d.int(), Pos: d.varint(), HandleIndex: d.int()}
+		}
+	}
+	return d.done()
+}
+
+// Signals: a count of signal, disposition pairs in ascending signal order.
+func (s *ckSigSection) appendTo(b []byte) []byte {
+	sigs := make([]api.Signal, 0, len(s.Dispositions))
+	for sig := range s.Dispositions {
+		sigs = append(sigs, sig)
+	}
+	sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
+	b = binary.AppendUvarint(b, uint64(len(sigs)))
+	for _, sig := range sigs {
+		b = appendString(binary.AppendVarint(b, int64(sig)), s.Dispositions[sig])
+	}
+	return b
+}
+
+func (s *ckSigSection) decode(payload []byte) error {
+	d := ckDecoder{b: payload}
+	*s = ckSigSection{}
+	if n := d.count(2); n > 0 {
+		s.Dispositions = make(map[api.Signal]string, n)
+		var prev api.Signal
+		for i := 0; i < n; i++ {
+			sig := api.Signal(d.int())
+			if i > 0 && sig <= prev {
+				d.fail()
+			}
+			s.Dispositions[sig], prev = d.string(), sig
+		}
+	}
+	return d.done()
+}
+
+// Pages: [delta:1], then a count of Addr, Data pairs.
+func (s *ckPagesSection) appendTo(b []byte) []byte {
+	delta := byte(0)
+	if s.Delta {
+		delta = 1
+	}
+	b = binary.AppendUvarint(append(b, delta), uint64(len(s.Pages)))
+	for _, pg := range s.Pages {
+		b = binary.AppendUvarint(b, pg.Addr)
+		b = binary.AppendUvarint(b, uint64(len(pg.Data)))
+		b = append(b, pg.Data...)
+	}
+	return b
+}
+
+// decode leaves each page's Data aliasing payload: restore writes the
+// pages out before it reads the next section into the same buffer.
+func (s *ckPagesSection) decode(payload []byte) error {
+	d := ckDecoder{b: payload}
+	*s = ckPagesSection{Delta: d.bool()}
+	if n := d.count(2); n > 0 {
+		s.Pages = make([]ckPage, n)
+		for i := range s.Pages {
+			s.Pages[i] = ckPage{Addr: d.uvarint(), Data: d.bytes()}
+		}
+	}
+	return d.done()
 }
 
 // ckpt is a captured checkpoint: the sections every image shares, before
@@ -187,25 +490,18 @@ func copyEnv(in map[string]string) map[string]string {
 
 // appendSection encodes v (nil for an empty payload) as one section at the
 // end of buf, in place: the length is patched in after the payload.
-func appendSection(buf *bytes.Buffer, kind byte, v interface{}) {
-	start := buf.Len()
-	buf.Write([]byte{kind, 0, 0, 0, 0})
+func appendSection(buf *bytes.Buffer, kind byte, v section) {
+	b := append(buf.AvailableBuffer(), kind, 0, 0, 0, 0)
 	if v != nil {
-		if err := gob.NewEncoder(buf).Encode(v); err != nil {
-			panic("liblinux: section encode: " + err.Error())
-		}
+		b = v.appendTo(b)
 	}
-	binary.LittleEndian.PutUint32(buf.Bytes()[start+1:], uint32(buf.Len()-start-5))
+	binary.LittleEndian.PutUint32(b[1:], uint32(len(b)-5))
+	buf.Write(b)
 }
 
-func gobDecode(blob []byte, v interface{}) error {
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(v); err != nil {
-		return api.EINVAL
-	}
-	return nil
-}
-
-func readSection(r io.Reader) (byte, []byte, error) {
+// readSection reads the next section from r into buf's storage, growing it
+// only when the payload does not fit, and returns the payload.
+func readSection(r io.Reader, buf []byte) (byte, []byte, error) {
 	var hdr [5]byte
 	if err := readFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -214,7 +510,10 @@ func readSection(r io.Reader) (byte, []byte, error) {
 	if n > maxSection {
 		return 0, nil, api.EINVAL
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if err := readFull(r, payload); err != nil {
 		return 0, nil, err
 	}
@@ -300,7 +599,7 @@ func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Han
 // Every section is checked before it is applied: a forged image fails
 // with an errno, never a panic.
 func (rt *Runtime) restore(c *pal.PAL, r io.Reader, initial *host.Stream, store *host.Handle) (*Process, *ckMetaSection, error) {
-	kind, payload, err := readSection(r)
+	kind, payload, err := readSection(r, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -308,7 +607,7 @@ func (rt *Runtime) restore(c *pal.PAL, r io.Reader, initial *host.Stream, store 
 		return nil, nil, api.EINVAL
 	}
 	var meta ckMetaSection
-	if err := gobDecode(payload, &meta); err != nil {
+	if err := meta.decode(payload); err != nil {
 		return nil, nil, err
 	}
 	if initial == nil {
@@ -343,7 +642,9 @@ func (rt *Runtime) restore(c *pal.PAL, r io.Reader, initial *host.Stream, store 
 	}
 	var seen [secDone + 1]bool
 	for done := false; !done; {
-		kind, payload, err := readSection(r)
+		// Decoded sections own their strings, so each read reuses the
+		// previous section's buffer.
+		kind, payload, err = readSection(r, payload)
 		if err != nil {
 			return failMap(err)
 		}
@@ -355,7 +656,7 @@ func (rt *Runtime) restore(c *pal.PAL, r io.Reader, initial *host.Stream, store 
 		switch kind {
 		case secMemory:
 			var mem ckMemSection
-			if err := gobDecode(payload, &mem); err != nil {
+			if err := mem.decode(payload); err != nil {
 				return failMap(err)
 			}
 			regions := memRegions(mem.BrkEnd, mem.Regions)
@@ -375,7 +676,7 @@ func (rt *Runtime) restore(c *pal.PAL, r io.Reader, initial *host.Stream, store 
 			}
 		case secFDs:
 			var fds ckFDSection
-			if err := gobDecode(payload, &fds); err != nil {
+			if err := fds.decode(payload); err != nil {
 				return failMap(err)
 			}
 			if err := p.restoreFDs(fds.FDs, initial); err != nil {
@@ -383,13 +684,13 @@ func (rt *Runtime) restore(c *pal.PAL, r io.Reader, initial *host.Stream, store 
 			}
 		case secSig:
 			var sig ckSigSection
-			if err := gobDecode(payload, &sig); err != nil {
+			if err := sig.decode(payload); err != nil {
 				return failMap(err)
 			}
 			p.sig.restoreDispositions(sig.Dispositions)
 		case secPages:
 			var pages ckPagesSection
-			if err := gobDecode(payload, &pages); err != nil {
+			if err := pages.decode(payload); err != nil {
 				return failMap(err)
 			}
 			// Fork ships pages through the store, and a delta applies over
@@ -403,6 +704,9 @@ func (rt *Runtime) restore(c *pal.PAL, r io.Reader, initial *host.Stream, store 
 				}
 			}
 		case secDone:
+			if len(payload) != 0 {
+				return failMap(api.EINVAL)
+			}
 			done = true
 		}
 	}
@@ -560,18 +864,26 @@ func (p *Process) checkpointBytes(delta bool) []byte {
 			}
 			pages.Pages = append(pages.Pages, ckPage{Addr: idx << host.PageShift, Data: data})
 			if len(pages.Pages) == pagesPerSection {
-				appendSection(&buf, secPages, &pages)
-				pages.Pages = pages.Pages[:0]
+				appendPages(&buf, &pages)
 			}
 		}
 	}
 	// The last pages section goes out even when empty, so that a delta
 	// always carries its flag.
-	appendSection(&buf, secPages, &pages)
+	appendPages(&buf, &pages)
 	appendSection(&buf, secDone, nil)
 	// Every image is the baseline for the next delta.
 	as.ResetDirty()
 	return buf.Bytes()
+}
+
+// appendPages writes one pages section and empties it for the next batch.
+// The image grows once to fit the section, so encoding it copies each page
+// only once.
+func appendPages(buf *bytes.Buffer, pages *ckPagesSection) {
+	buf.Grow(16 + len(pages.Pages)*(host.PageSize+2*binary.MaxVarintLen64))
+	appendSection(buf, secPages, pages)
+	pages.Pages = pages.Pages[:0]
 }
 
 // ResumeFromBytes reconstructs a checkpointed process as the root of a

@@ -191,15 +191,20 @@ func TestPropertyCheckpointRoundTrip(t *testing.T) {
 		var outMeta ckMetaSection
 		var outMem ckMemSection
 		var outFDs ckFDSection
+		// Each read reuses the previous payload's buffer, as restore does:
+		// the decoded strings must survive it.
+		var payload []byte
 		for _, sec := range []struct {
 			kind byte
-			v    interface{}
+			v    sectionCodec
 		}{{secMeta, &outMeta}, {secMemory, &outMem}, {secFDs, &outFDs}, {secDone, nil}} {
-			kind, payload, err := readSection(&buf)
+			var kind byte
+			var err error
+			kind, payload, err = readSection(&buf, payload)
 			if err != nil || kind != sec.kind {
 				return false
 			}
-			if sec.v != nil && gobDecode(payload, sec.v) != nil {
+			if sec.v != nil && sec.v.decode(payload) != nil {
 				return false
 			}
 		}
